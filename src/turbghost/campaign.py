@@ -3,26 +3,22 @@
 A campaign runs each turbulence sweep point through simulate -> fit,
 collects visibility points next to the model curve, and emits a
 replayable report: every number is a pure function of the configuration
-hash and the master seed.  Points execute independently (optionally on a
-thread pool); the report is assembled in sweep order, so worker count
-never changes the output.
+hash and the master seed.  Points run serially in sweep order.
 """
 
 from __future__ import annotations
 
-import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.optimize import brentq
 
 from . import __version__
-from .config import ExperimentConfig, config_hash, config_to_dict
+from .config import ConfigValueError, ExperimentConfig, config_hash, config_to_dict
 from .engine import KlyshkoPath
-from .fitting import fit_scan, slit_correction
+from .fitting import fit_scan, slit_factor
 from .model import (
     OpticsConfig,
     TurbulenceSpec,
@@ -32,13 +28,13 @@ from .model import (
     fringe_visibility,
     validity_ratio,
 )
-from .scan import simulate_scan, write_scan_csv
+from .scan import format_scan_csv, simulate_scan
 
 __all__ = [
-    "WORKERS_ENV_VAR",
     "CampaignPoint",
     "CampaignReport",
     "point_seed",
+    "simulate_point",
     "run_campaign",
     "write_report_json",
     "write_campaign_csv",
@@ -47,7 +43,6 @@ __all__ = [
     "reproduce_figure",
 ]
 
-WORKERS_ENV_VAR = "TURBGHOST_WORKERS"
 _POINT_SEED_TAG = 0x9B1D
 
 
@@ -119,6 +114,26 @@ class CampaignReport:
         }
 
 
+def simulate_point(config: ExperimentConfig, index):
+    """Synthetic scan of sweep point ``index``, seeded by point_seed(master_seed, index)."""
+    if not 0 <= index < len(config.sweep):
+        raise ConfigValueError(
+            f"sweep index {index} outside [0, {len(config.sweep)}) for this config"
+        )
+    spec = config.sweep[index]
+    path = KlyshkoPath(config.optics, spec, source_width_mm=config.engine.source_width_mm)
+    return simulate_scan(
+        path,
+        spec.alpha_per_mm2,
+        config.pattern,
+        config.detector,
+        seed=point_seed(config.engine.master_seed, index),
+        n_positions=config.engine.scan_points,
+        center_mm=config.engine.scan_center_mm,
+        mode=config.engine.mode,
+    )
+
+
 def _run_point(config: ExperimentConfig, index, spec: TurbulenceSpec):
     optics = config.optics
     d = effective_distance(spec, optics)
@@ -126,7 +141,6 @@ def _run_point(config: ExperimentConfig, index, spec: TurbulenceSpec):
     k0 = config.pattern.fringe_wavenumber
     v_model = fringe_visibility(optics.system_visibility, spec.alpha_per_mm2, d, k, k0)
     ratio = validity_ratio(d, spec.alpha_per_mm2, k, config.pattern.envelope_width_mm)
-    seed = point_seed(config.engine.master_seed, index)
     placement = "crystal_side" if spec.side == "crystal" else "object_side"
     placement_distance = spec.l1_mm if spec.side == "crystal" else spec.distance_from_object_mm
     base = dict(
@@ -136,75 +150,42 @@ def _run_point(config: ExperimentConfig, index, spec: TurbulenceSpec):
         alpha_per_mm2=spec.alpha_per_mm2,
         effective_distance_mm=d,
         model_visibility=v_model,
-        seed=seed,
+        seed=point_seed(config.engine.master_seed, index),
         validity_ratio=ratio,
         validity_warning=ratio > VALIDITY_WARN_THRESHOLD,
     )
     try:
-        path = KlyshkoPath(optics, spec, source_width_mm=config.engine.source_width_mm)
-        data = simulate_scan(
-            path,
-            spec.alpha_per_mm2,
-            config.pattern,
-            config.detector,
-            seed=seed,
-            n_positions=config.engine.scan_points,
-            center_mm=config.engine.scan_center_mm,
-            mode=config.engine.mode,
-        )
-        result = fit_scan(data)
+        result = fit_scan(simulate_point(config, index))
         if not result.converged:
             return CampaignPoint(**base, error=f"fit failed: {result.message}")
-        factor_arg = k0 * config.detector.slit_width_mm / 2.0
-        factor = math.sin(factor_arg) / factor_arg if factor_arg > 0 else 1.0
-        corrected = slit_correction(
-            result.model.visibility, k0, config.detector.slit_width_mm
-        )
+        factor = slit_factor(k0, config.detector.slit_width_mm)
         sigma = result.errors.get("visibility", float("nan"))
         return CampaignPoint(
             **base,
             fitted_visibility=result.model.visibility,
             fitted_sigma=sigma,
             slit_factor=factor,
-            corrected_visibility=min(corrected, 1.0),
+            corrected_visibility=min(result.model.visibility / factor, 1.0),
             corrected_sigma=sigma / factor,
             converged=True,
         )
-    except Exception as exc:  # per-point failure must not sink the campaign
+    # Numerical failures are recorded per point; programming errors propagate.
+    except (ValueError, ArithmeticError, RuntimeError) as exc:
         return CampaignPoint(**base, error=f"{type(exc).__name__}: {exc}")
 
 
-def run_campaign(config: ExperimentConfig, workers=None):
+def run_campaign(config: ExperimentConfig):
     """Simulate and fit every sweep point; deterministic per master seed."""
     start = time.perf_counter()
-    if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV_VAR, "1"))
     specs = list(config.sweep)
-    if workers > 1 and len(specs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            points = list(
-                pool.map(lambda iv: _run_point(config, iv[0], iv[1]), enumerate(specs))
-            )
-    else:
-        points = [_run_point(config, i, spec) for i, spec in enumerate(specs)]
+    points = [_run_point(config, i, spec) for i, spec in enumerate(specs)]
     if specs:
         dmax = max(abs(p.effective_distance_mm) for p in points)
         curve_d = np.linspace(0.0, max(dmax, 1.0), 101)
     else:
         curve_d = np.linspace(0.0, 1.0, 2)
     alpha_curve = specs[0].alpha_per_mm2 if specs else 0.0
-    curve_v = np.array(
-        [
-            fringe_visibility(
-                config.optics.system_visibility,
-                alpha_curve,
-                d,
-                config.optics.k,
-                config.pattern.fringe_wavenumber,
-            )
-            for d in curve_d
-        ]
-    )
+    curve_v = model_curve(config.optics, alpha_curve, curve_d, config.pattern.fringe_wavenumber)
     return CampaignReport(
         points=tuple(points),
         curve_distances_mm=curve_d,
@@ -354,15 +335,10 @@ def reproduce_figure(which, out_dir, master_seed=20260809):
                 n_positions=160,
             )
             path = os.path.join(out_dir, f"{name}.csv")
-            tmp = path + ".tmp"
-            write_scan_csv(data, tmp)
-            with open(tmp, "r", encoding="ascii") as fh:
-                body = fh.read()
-            os.remove(tmp)
             with open(path, "w", encoding="ascii") as fh:
                 fh.write(f"# synthetic scan: {name}, seed={point_seed(master_seed, i)}\n")
                 fh.write("# peak coincidence rate is an invented default, not a measured value\n")
-                fh.write(body)
+                fh.write(format_scan_csv(data))
             written.append(path)
 
     return written

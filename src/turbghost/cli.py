@@ -23,6 +23,7 @@ from . import __version__
 from .campaign import (
     run_campaign,
     reproduce_figure,
+    simulate_point,
     write_campaign_csv,
     write_report_json,
 )
@@ -38,7 +39,7 @@ from .model import (
     kernel_sigma,
     wavenumber,
 )
-from .scan import read_scan_csv, simulate_scan, write_scan_csv
+from .scan import read_scan_csv, write_scan_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -140,23 +141,7 @@ def _cmd_kernel(args):
 
 
 def _cmd_simulate(args):
-    config = _load_config_with_overrides(args)
-    if not config.sweep:
-        raise ConfigError("config has an empty turbulence_sweep; nothing to simulate")
-    spec = config.sweep[args.sweep_index]
-    path = KlyshkoPath(config.optics, spec, source_width_mm=config.engine.source_width_mm)
-    from .campaign import point_seed
-
-    data = simulate_scan(
-        path,
-        spec.alpha_per_mm2,
-        config.pattern,
-        config.detector,
-        seed=point_seed(config.engine.master_seed, args.sweep_index),
-        n_positions=config.engine.scan_points,
-        center_mm=config.engine.scan_center_mm,
-        mode=config.engine.mode,
-    )
+    data = simulate_point(_load_config_with_overrides(args), args.sweep_index)
     out = args.output or "scan.csv"
     write_scan_csv(data, out)
     sys.stdout.write(f"wrote {out}\n")
@@ -182,7 +167,7 @@ def _cmd_fit(args):
 
 def _cmd_campaign(args):
     config = _load_config_with_overrides(args)
-    report = run_campaign(config, workers=args.workers)
+    report = run_campaign(config)
     out_dir = args.output_dir or config.output_dir or "."
     os.makedirs(out_dir, exist_ok=True)
     json_path = os.path.join(out_dir, "campaign_report.json")
@@ -256,7 +241,6 @@ def build_parser():
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("campaign", parents=[common_cfg], help="run a full sweep campaign")
-    p.add_argument("--workers", type=int, default=None)
     p.set_defaults(func=_cmd_campaign)
 
     p = sub.add_parser("reproduce", help="emit figure data files")

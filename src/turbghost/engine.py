@@ -31,7 +31,7 @@ Three routes to it are implemented and cross-checked by the test suite:
 
 Reductions are deterministic: Monte Carlo histograms accumulate integer
 counts (order-independent), and per-screen draws are pure functions of
-(master_seed, index), so results are bit-identical for any worker count.
+(master_seed, index), so results are bit-identical in any generation order.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from .model import (
     TurbulenceSpec,
     effective_distance,
 )
-from .screens import GriddedScreen, TiltScreen, mutual_coherence, screen_rng
+from .screens import TiltScreen, mutual_coherence, tilt_slopes
 
 __all__ = [
     "GridResolutionError",
@@ -210,10 +210,7 @@ def klyshko_amplitude_quadrature(x1, x2, screen, path: KlyshkoPath, n_points=Non
     d = path.effective_distance_mm
     if abs(d) < 1e-12:
         raise ValueError("quadrature undefined at zero effective distance (ideal kernel)")
-    if isinstance(screen, GriddedScreen):
-        phase = screen.phase(xt)
-    else:
-        phase = screen.phase(xt)
+    phase = screen.phase(xt)
     field = (
         np.exp(-1j * path.k * (x2 - xt) ** 2 / (2.0 * d))
         * np.exp(1j * phase)
@@ -247,13 +244,7 @@ def monte_carlo_g2(
     if bins < 3 or bins % 2 == 0:
         raise ValueError("bins must be an odd integer >= 3")
     d = path.effective_distance_mm
-    slopes = np.array(
-        [
-            screen_rng(master_seed, i).standard_normal() * math.sqrt(alpha_per_mm2)
-            for i in range(int(n_screens))
-        ]
-    )
-    displacements = -slopes * d / path.k
+    displacements = -tilt_slopes(alpha_per_mm2, n_screens, master_seed) * d / path.k
     if span_mm is None:
         spread = float(displacements.std())
         span_mm = 8.0 * max(spread, resolution_floor_mm)

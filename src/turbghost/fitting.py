@@ -32,6 +32,7 @@ __all__ = [
     "fit_profile",
     "fit_scan",
     "fit_alpha",
+    "slit_factor",
     "slit_correction",
 ]
 
@@ -222,26 +223,17 @@ def initial_guess(positions_mm, rates_cps):
     return ScanFitModel(amplitude, center, max(width, 1e-6), k0, phase, vis, max(bg, 0.0))
 
 
-def fit_profile(positions_mm, values, sigma=None, init=None, max_iterations=MAX_ITERATIONS):
-    """Weighted least-squares fit of the fringe model to a sampled profile.
+def _fit_core(x, y, sig, scale, init):
+    """Bounded least squares of the fringe model: minimises (scale * model(x) - y) / sig.
 
-    ``sigma`` gives per-point standard deviations (unit weights when
-    omitted).  Deterministic given data and starting point.  Returns a
-    non-converged FitResult rather than raising when the optimizer stalls.
+    Returns a FitResult with reduced chi^2 and curvature errors; an
+    optimizer stall or an out-of-bounds solution yields a non-converged
+    result instead of raising.
     """
-    x = np.asarray(positions_mm, dtype=float)
-    y = np.asarray(values, dtype=float)
-    if sigma is None:
-        sig = np.ones_like(y)
-    else:
-        sig = np.asarray(sigma, dtype=float)
-    if init is None:
-        init = initial_guess(x, y)
     p0 = np.clip(init.to_vector(), _PARAM_LO, _PARAM_HI)
 
     def resid(p):
-        model = _evaluate_vector(p, x)
-        return (model - y) / sig
+        return (scale * _evaluate_vector(p, x) - y) / sig
 
     sol = least_squares(
         resid,
@@ -251,10 +243,11 @@ def fit_profile(positions_mm, values, sigma=None, init=None, max_iterations=MAX_
         ftol=OBJECTIVE_TOL,
         xtol=1e-12,
         gtol=1e-12,
-        max_nfev=max_iterations * (len(p0) + 1),
+        max_nfev=MAX_ITERATIONS * (len(p0) + 1),
     )
     dof = max(x.size - len(p0), 1)
     red_chi2 = float(2.0 * sol.cost / dof)
+    # d(residual)/d(param) = scale/sig * d(model)/d(param); curvature carries the weights.
     errors = _curvature_errors(sol.jac)
     converged = bool(sol.success)
     model = None
@@ -272,6 +265,21 @@ def fit_profile(positions_mm, values, sigma=None, init=None, max_iterations=MAX_
         n_evaluations=int(sol.nfev),
         message=message,
     )
+
+
+def fit_profile(positions_mm, values, sigma=None, init=None):
+    """Weighted least-squares fit of the fringe model to a sampled profile.
+
+    ``sigma`` gives per-point standard deviations (unit weights when
+    omitted).  Deterministic given data and starting point.  Returns a
+    non-converged FitResult rather than raising when the optimizer stalls.
+    """
+    x = np.asarray(positions_mm, dtype=float)
+    y = np.asarray(values, dtype=float)
+    sig = np.ones_like(y) if sigma is None else np.asarray(sigma, dtype=float)
+    if init is None:
+        init = initial_guess(x, y)
+    return _fit_core(x, y, sig, 1.0, init)
 
 
 def _evaluate_vector(p, x):
@@ -303,54 +311,17 @@ def fit_scan(data: ScanData, init: ScanFitModel | None = None):
         raise ValueError("need at least 10 scan points")
     if np.all(data.counts == 0):
         return FitResult(None, {}, float("nan"), False, 0, "degenerate data: all counts zero")
-    rates = data.rates_cps
     if init is None:
         try:
-            init = initial_guess(data.positions_mm, rates)
+            init = initial_guess(data.positions_mm, data.rates_cps)
         except ValueError as exc:
             return FitResult(None, {}, float("nan"), False, 0, f"initialization failed: {exc}")
     span = data.positions_mm[-1] - data.positions_mm[0]
     if span * init.fringe_wavenumber < 2.0 * 2.0 * math.pi:
         raise ValueError("scan must span at least two fringe periods")
-
-    x = data.positions_mm
     counts = data.counts.astype(float)
-    dur = data.durations_s
-    sig = np.sqrt(np.maximum(counts, 1.0))
-    p0 = np.clip(init.to_vector(), _PARAM_LO, _PARAM_HI)
-
-    def resid(p):
-        return (dur * _evaluate_vector(p, x) - counts) / sig
-
-    sol = least_squares(
-        resid,
-        p0,
-        bounds=(_PARAM_LO, _PARAM_HI),
-        method="trf",
-        ftol=OBJECTIVE_TOL,
-        xtol=1e-12,
-        gtol=1e-12,
-        max_nfev=MAX_ITERATIONS * (len(p0) + 1),
-    )
-    dof = max(x.size - len(p0), 1)
-    red_chi2 = float(2.0 * sol.cost / dof)
-    # d(residual)/d(param) = dur/sig * d(rate)/d(param); curvature carries the weights.
-    errors = _curvature_errors(sol.jac)
-    converged = bool(sol.success)
-    model = None
-    message = sol.message
-    try:
-        model = ScanFitModel.from_vector(sol.x)
-    except ValueError as exc:
-        converged = False
-        message = f"{sol.message}; invalid solution: {exc}"
-    return FitResult(
-        model=model,
-        errors=dict(zip(_PARAM_NAMES, errors)),
-        reduced_chi2=red_chi2,
-        converged=converged,
-        n_evaluations=int(sol.nfev),
-        message=message,
+    return _fit_core(
+        data.positions_mm, counts, np.sqrt(np.maximum(counts, 1.0)), data.durations_s, init
     )
 
 
@@ -422,21 +393,26 @@ def fit_alpha(points, g_by_label, k, k0):
     return AlphaFitResult(float(sol.x[0]), err, red_chi2, bool(sol.success), sol.message)
 
 
-def slit_correction(visibility_raw, k0, slit_width_mm):
-    """Undo the finite-slit attenuation of a fitted fringe visibility.
+def slit_factor(k0, slit_width_mm):
+    """Finite-slit attenuation of fringe contrast at wavenumber k0.
 
-    A top-hat slit of width s multiplies the fringe contrast at wavenumber
-    k0 by sin(k0 s / 2) / (k0 s / 2); this divides it back out.  Requires
+    A top-hat slit of width s multiplies the contrast by
+    sin(k0 s / 2) / (k0 s / 2); a zero-width slit gives 1.  Requires
     k0 * s / 2 < pi (slit narrower than the fringe period).
     """
     if slit_width_mm < 0:
         raise ValueError("slit width must be >= 0")
     if slit_width_mm == 0:
-        return visibility_raw
+        return 1.0
     arg = k0 * slit_width_mm / 2.0
     if not arg < math.pi:
         raise ValueError("slit too wide: k0 * width / 2 must be < pi")
     factor = math.sin(arg) / arg
     if factor <= 0:
         raise ValueError("non-positive slit attenuation factor")
-    return visibility_raw / factor
+    return factor
+
+
+def slit_correction(visibility_raw, k0, slit_width_mm):
+    """Undo the finite-slit attenuation of a fitted fringe visibility."""
+    return visibility_raw / slit_factor(k0, slit_width_mm)

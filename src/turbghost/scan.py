@@ -30,6 +30,7 @@ __all__ = [
     "NonMonotonicPositionsError",
     "simulate_scan",
     "expected_scan_rates",
+    "format_scan_csv",
     "write_scan_csv",
     "read_scan_csv",
 ]
@@ -254,8 +255,8 @@ class NonMonotonicPositionsError(ScanCSVError):
 _SCAN_HEADER = "position_mm,counts,duration_s"
 
 
-def write_scan_csv(data: ScanData, path):
-    """Write a scan as CSV with a fixed header; round-trips bit-exactly.
+def format_scan_csv(data: ScanData):
+    """Scan as CSV text with a fixed header; round-trips bit-exactly.
 
     Floats are written with repr (shortest exact representation), counts
     as plain integers.
@@ -263,8 +264,13 @@ def write_scan_csv(data: ScanData, path):
     lines = [_SCAN_HEADER]
     for x, c, t in zip(data.positions_mm, data.counts, data.durations_s):
         lines.append(f"{float(x)!r},{int(c)},{float(t)!r}")
+    return "\n".join(lines) + "\n"
+
+
+def write_scan_csv(data: ScanData, path):
+    """Write format_scan_csv(data) to ``path``."""
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(format_scan_csv(data))
 
 
 def read_scan_csv(path):

@@ -31,6 +31,7 @@ __all__ = [
     "StructureFunctionEstimate",
     "screen_rng",
     "sample_tilt_screen",
+    "tilt_slopes",
     "sample_powerlaw_screen",
     "estimate_structure_function",
     "mutual_coherence",
@@ -182,32 +183,27 @@ class ScreenEnsemble:
     def tilts(cls, alpha_per_mm2, n_screens, master_seed):
         if n_screens < 1:
             raise ValueError("n_screens must be >= 1")
-        screens = tuple(
-            sample_tilt_screen(alpha_per_mm2, np.random.SeedSequence((int(master_seed), i)))
-            for i in range(n_screens)
-        )
-        return cls(screens, int(master_seed))
+        slopes = tilt_slopes(alpha_per_mm2, n_screens, master_seed)
+        return cls(tuple(TiltScreen(float(a)) for a in slopes), int(master_seed))
 
     @classmethod
     def powerlaw(cls, alpha, p, grid_mm, n_screens, master_seed, **synth_kwargs):
         if n_screens < 1:
             raise ValueError("n_screens must be >= 1")
         screens = tuple(
-            sample_powerlaw_screen(
-                alpha, p, grid_mm, np.random.SeedSequence((int(master_seed), i)), **synth_kwargs
-            )
+            sample_powerlaw_screen(alpha, p, grid_mm, screen_rng(master_seed, i), **synth_kwargs)
             for i in range(n_screens)
         )
         return cls(screens, int(master_seed))
 
 
 def tilt_slopes(alpha_per_mm2, n_screens, master_seed):
-    """Vector of the n tilt slopes the ensemble constructor would produce."""
+    """Slopes ~ Normal(0, alpha) of tilt screens 0..n-1, each drawn from screen_rng."""
+    if alpha_per_mm2 < 0:
+        raise ValueError("alpha_per_mm2 must be >= 0")
+    scale = math.sqrt(alpha_per_mm2)
     return np.array(
-        [
-            sample_tilt_screen(alpha_per_mm2, np.random.SeedSequence((int(master_seed), i))).slope_rad_per_mm
-            for i in range(n_screens)
-        ]
+        [screen_rng(master_seed, i).standard_normal() * scale for i in range(int(n_screens))]
     )
 
 

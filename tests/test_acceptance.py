@@ -98,7 +98,7 @@ def test_criterion_2_convolution_closure():
     if violations:
         print("  band violations (exact finite-envelope correction "
               "exp(k0^2 sigma^2 r^2 / (2 (1+r^2))) exceeds the stated band; "
-              "see the project decision log):")
+              "see Decisions in README.md):")
         print("\n".join(violations))
     assert elapsed < 10.0
     assert not violations, "convolution closure outside stated bands at: " + "; ".join(violations)
@@ -272,7 +272,7 @@ def test_criterion_9_determinism():
     s1 = simulate_scan(path, 2.0, ObjectPattern(), det, seed=3)
     s2 = simulate_scan(path, 2.0, ObjectPattern(), det, seed=3)
     scan_ok = np.array_equal(s1.counts, s2.counts)
-    # Campaigns: bit-identical across reruns and worker counts.
+    # Campaigns: bit-identical across reruns.
     raw = {
         "schema_version": 1,
         "optics": {"shift_mm": 0.0},
@@ -283,12 +283,12 @@ def test_criterion_9_determinism():
         "engine": {"master_seed": MASTER, "scan_points": 120},
     }
     cfg = load_config_dict(raw)
-    reports = [run_campaign(cfg, workers=w).to_json_dict() for w in (1, 1, 4)]
+    reports = [run_campaign(cfg).to_json_dict() for _ in range(3)]
     for r in reports:
         r.pop("runtime_s")
     campaign_ok = reports[0] == reports[1] == reports[2]
     elapsed = time.perf_counter() - t0
     ok = screens_ok and mc_ok and scan_ok and campaign_ok
     report(9, ok, f"screens {screens_ok}, monte carlo {mc_ok}, scans {scan_ok}, "
-                  f"campaign reruns and 1-vs-4 workers {campaign_ok}; {elapsed:.1f} s")
+                  f"campaign reruns {campaign_ok}; {elapsed:.1f} s")
     assert ok

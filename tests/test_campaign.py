@@ -65,16 +65,6 @@ class TestRunCampaign:
         rb.pop("runtime_s")
         assert ra == rb
 
-    def test_worker_count_invariance(self, tmp_path):
-        cfg = small_config(n_points=4)
-        r1 = run_campaign(cfg, workers=1)
-        r4 = run_campaign(cfg, workers=4)
-        d1 = r1.to_json_dict()
-        d4 = r4.to_json_dict()
-        d1.pop("runtime_s")
-        d4.pop("runtime_s")
-        assert d1 == d4
-
     def test_csv_columns(self, tmp_path):
         report = run_campaign(small_config())
         path = tmp_path / "points.csv"
@@ -100,6 +90,14 @@ class TestRunCampaign:
         p = report.points[0]
         assert p.error is not None
         assert not p.converged
+
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken_fit(data):
+            raise TypeError("broken fit")
+
+        monkeypatch.setattr("turbghost.campaign.fit_scan", broken_fit)
+        with pytest.raises(TypeError, match="broken fit"):
+            run_campaign(small_config(n_points=1))
 
 
 class TestFigureData:

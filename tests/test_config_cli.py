@@ -1,9 +1,13 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import turbghost
+from turbghost.campaign import simulate_point
 from turbghost.cli import main
 from turbghost.config import (
     ConfigParseError,
@@ -14,7 +18,7 @@ from turbghost.config import (
     load_config,
 )
 from turbghost.fitting import fit_scan
-from turbghost.scan import read_scan_csv
+from turbghost.scan import format_scan_csv, read_scan_csv
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "fixture_scan_seed424242.csv")
 # Slit-attenuated visibility of the fixture's generating model:
@@ -185,6 +189,43 @@ class TestCLI:
             "--set", "engine.master_seed=99",
         ]) == 0
         assert scan_a.read_bytes() != scan_b.read_bytes()
+
+    def test_simulate_writes_campaign_point_scan(self, tmp_path):
+        cfg = minimal_config(tmp_path, turbulence_sweep=[
+            {"placement": "crystal_side", "l1_mm": l1, "alpha_per_mm2": 2.0}
+            for l1 in (432.0, 482.0)
+        ])
+        out = tmp_path / "scan.csv"
+        assert main(["simulate", "--config", str(cfg), "--sweep-index", "1",
+                     "--output", str(out)]) == 0
+        expected = format_scan_csv(simulate_point(load_config(str(cfg)), 1))
+        assert out.read_text() == expected
+
+    @pytest.mark.parametrize("index", ["99", "-1"])
+    def test_simulate_sweep_index_out_of_range(self, tmp_path, capsys, index):
+        cfg = minimal_config(tmp_path)
+        out = tmp_path / "scan.csv"
+        rc = main(["simulate", "--config", str(cfg), "--sweep-index", index, "--output", str(out)])
+        assert rc == 2
+        assert "sweep index" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_campaign_has_no_workers_option(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["campaign", "--config", str(minimal_config(tmp_path)), "--workers", "2"])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
+    def test_python_dash_m_version(self):
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(turbghost.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "turbghost", "--version"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout.strip() == f"turbghost {turbghost.__version__}"
 
     def test_fit_nonconvergent_exit_code(self, tmp_path, capsys):
         p = tmp_path / "zeros.csv"

@@ -11,6 +11,7 @@ from turbghost.fitting import (
     fit_scan,
     initial_guess,
     slit_correction,
+    slit_factor,
 )
 from turbghost.model import (
     ObjectPattern,
@@ -232,6 +233,13 @@ class TestSlitCorrection:
     def test_too_wide_slit_rejected(self):
         with pytest.raises(ValueError):
             slit_correction(0.5, K0, 2.0 * math.pi / K0)
+
+    def test_campaign_factor_matches_correction(self):
+        assert slit_factor(K0, 0.0) == 1.0
+        assert slit_factor(K0, 0.040) == pytest.approx(0.966237985637492, rel=1e-12)
+        assert slit_correction(0.2708, K0, 0.040) == 0.2708 / slit_factor(K0, 0.040)
+        with pytest.raises(ValueError):
+            slit_factor(K0, -0.01)
 
 
 class TestInitialGuess:
