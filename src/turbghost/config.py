@@ -210,6 +210,11 @@ def _build_sweep_point(node, path):
         raise ConfigSchemaError(f"{path}.placement: required key missing")
     alpha = _number(node, path, "alpha_per_mm2", required=True)
     exponent = _number(node, path, "exponent", default=2.0)
+    if exponent != 2.0:
+        # Only the square law is modelled; any other exponent would be ignored.
+        raise ConfigValueError(
+            f"{path}.exponent: only the square law (2.0) is implemented, got {exponent}"
+        )
     if placement == "crystal_side":
         l1 = _number(node, path, "l1_mm", required=True)
         if "distance_from_object_mm" in node:

@@ -27,7 +27,8 @@ Three routes to it are implemented and cross-checked by the test suite:
   coordinates with the ensemble-averaged screen correlation
   exp(-alpha u^2 / 2).  The inner source integral is a Gaussian-chirp
   integral evaluated in closed form; everything the screen statistics
-  touch is summed numerically.
+  touch is summed numerically, with one FFT autocorrelation serving
+  every offset.
 
 Reductions are deterministic: Monte Carlo histograms accumulate integer
 counts (order-independent), and per-screen draws are pure functions of
@@ -265,9 +266,6 @@ def quadrature_g2(
     offsets_mm=None,
     n_offsets=21,
     span_sigmas=3.0,
-    target_u_points=160,
-    refine_tol=1e-4,
-    max_refinements=4,
 ):
     """Coincidence kernel by direct quadrature with the screen-averaged correlation.
 
@@ -276,15 +274,25 @@ def quadrature_g2(
 
         G2(x2) = int du dc  F(c + u) conj(F(c)) exp(-alpha u^2 / 2),
 
-    with F the per-point integrand of the folded kernels at x1 = 0.  The
-    c sum runs over grid diagonals; for a shifted crystal the source
-    envelope decays inside the window (plain Riemann sum), while at
-    delta = 0 the integrand is flat in c and the overlap-averaged
-    diagonal estimate is used.  The u quadrature is subsampled on the
-    grid lattice and refined (halving the stride) until the kernel
-    changes by less than ``refine_tol``; per-bin standard errors report
-    the last refinement delta.
+    with F = exp(-i k (x2 - x_t)^2 / (2 d)) P the per-point integrand of the
+    folded kernels at x1 = 0 (P the prefield).  On the grid x_t = j dx the
+    offset enters the lag-m diagonal sum only as a phase,
+    sum_j conj(F_j) F_{j+m} = exp(i k x2 m dx / d) R(m), where R is the
+    autocorrelation of g = exp(-i k x_t^2 / (2 d)) P.  One zero-padded FFT
+    (Wiener-Khinchin) gives R at every lag up to u_max = 4.5 / sqrt(alpha),
+    and each value is the lag sum
+
+        G2(x2) = dx sum_m w_m exp(-alpha (m dx)^2 / 2) Re(exp(i k x2 m dx / d) R(m)),
+
+    w_m = 1 at m = 0 and 2 otherwise (the u < 0 half), times dx for a
+    shifted crystal (the source envelope decays inside the window: plain
+    Riemann sum in c) or 1 / (n - m) at delta = 0 (flat in c: the
+    overlap-averaged diagonal).  ``standard_errors`` are the change from
+    halving the lag stride, |S_1 - S_2| / peak, with S_2 the even-lag sum
+    weighted by 2 dx.
     """
+    from scipy.fft import next_fast_len
+
     if alpha_per_mm2 <= 0:
         raise ValueError("quadrature average needs alpha > 0; use the ideal kernel otherwise")
     d = path.effective_distance_mm
@@ -298,46 +306,41 @@ def quadrature_g2(
     offsets = np.asarray(offsets_mm, dtype=float)
     u_max = 4.5 / math.sqrt(alpha_per_mm2)
     xt, dx = _turbulence_grid(path, u_max)
-    flat = abs(path.shift_mm) < 1e-12
-    pre = _prefield(xt, 0.0, path)
     n = xt.size
     m_max = int(u_max / dx)
+    # g = exp(-i k x_t^2 / (2 d)) P, zero-padded past n + m_max so the circular
+    # correlation has no wrap-around at any lag used.  One buffer is
+    # transformed, squared and transformed back in place, so peak memory
+    # stays that of the prefield.
+    pre = _prefield(xt, 0.0, path)
+    chirp = xt**2
+    chirp *= -path.k / (2.0 * d)
+    buf = np.zeros(next_fast_len(n + m_max + 1), dtype=complex)
+    np.cos(chirp, out=buf.real[:n])
+    np.sin(chirp, out=buf.imag[:n])
+    buf[:n] *= pre
+    del pre, chirp
+    np.fft.fft(buf, out=buf)
+    re, im = buf.real, buf.imag
+    np.square(re, out=re)
+    np.square(im, out=im)
+    re += im
+    im[:] = 0.0
+    lags = np.fft.ifft(buf, out=buf)[: m_max + 1]
 
-    def evaluate(stride):
-        ms = np.arange(0, m_max + 1, stride)
-        coh = mutual_coherence(alpha_per_mm2, ms * dx)
-        vals = np.empty(offsets.size)
-        for j, x2 in enumerate(offsets):
-            field = np.exp(-1j * path.k * (x2 - xt) ** 2 / (2.0 * d)) * pre
-            acc = 0.0
-            for i, m in enumerate(ms):
-                if m == 0:
-                    diag = np.vdot(field, field).real
-                else:
-                    diag = 2.0 * np.vdot(field[:-m], field[m:]).real
-                if flat:
-                    diag /= n - m  # overlap-averaged: window length cancels
-                else:
-                    diag *= dx  # envelope decays inside the window
-                acc += coh[i] * diag
-            vals[j] = acc * (stride * dx)
-        return vals
-
-    stride = max(1, m_max // int(target_u_points))
-    coarse = evaluate(stride)
-    fine = coarse
-    delta_vals = np.zeros_like(coarse)
-    for _ in range(max_refinements):
-        if stride == 1:
-            break
-        stride = max(1, stride // 2)
-        fine = evaluate(stride)
-        delta_vals = np.abs(fine - coarse)
-        if delta_vals.max() / fine.max() < refine_tol:
-            break
-        coarse = fine
+    ms = np.arange(m_max + 1)
+    weights = mutual_coherence(alpha_per_mm2, ms * dx)
+    weights[1:] *= 2.0
+    if abs(path.shift_mm) < 1e-12:
+        weights /= n - ms  # overlap-averaged: window length cancels
+    else:
+        weights *= dx  # envelope decays inside the window
+    phase = np.exp(1j * (path.k * dx / d) * np.outer(offsets, ms))
+    terms = (phase * lags).real * weights
+    fine = terms.sum(axis=1) * dx
+    coarse = terms[:, ::2].sum(axis=1) * (2.0 * dx)
     peak = fine.max()
-    return SampledKernel(offsets, fine / peak, delta_vals / peak)
+    return SampledKernel(offsets, fine / peak, np.abs(fine - coarse) / peak)
 
 
 def fit_kernel_sigma(kernel):

@@ -351,8 +351,9 @@ class SampledKernel:
     """Coincidence kernel tabulated on a separation grid, peak-normalized.
 
     ``standard_errors`` carry the per-bin uncertainty of whatever estimator
-    produced the samples (statistical for Monte Carlo, refinement deltas
-    for deterministic quadrature).
+    produced the samples (statistical for Monte Carlo; for deterministic
+    quadrature, the change in the kernel when the lag stride is halved
+    from 2 to 1).
     """
 
     offsets_mm: np.ndarray

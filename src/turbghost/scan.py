@@ -86,14 +86,18 @@ class ScanData:
         dur = np.asarray(self.durations_s, dtype=float)
         if not (pos.shape == counts.shape == dur.shape) or pos.ndim != 1:
             raise ValueError("positions, counts and durations must be equal-length 1-D")
+        if not np.all(np.isfinite(pos)):
+            raise ValueError("positions must be finite")
         if not np.all(np.diff(pos) > 0):
             raise ValueError("positions must be strictly increasing")
         if not np.issubdtype(counts.dtype, np.integer):
-            if not np.all(counts == np.rint(counts)):
+            if not np.all(np.isfinite(counts) & (counts == np.rint(counts))):
                 raise ValueError("counts must be integers")
             counts = counts.astype(np.int64)
         if np.any(counts < 0):
             raise ValueError("counts must be nonnegative")
+        if not np.all(np.isfinite(dur)):
+            raise ValueError("durations must be finite")
         if np.any(dur <= 0):
             raise ValueError("durations must be positive")
         object.__setattr__(self, "positions_mm", pos)
@@ -278,7 +282,8 @@ def read_scan_csv(path):
 
     Lines starting with '#' are treated as comments.  Raises
     MissingColumnError, NonIntegerCountsError or NonMonotonicPositionsError
-    for the corresponding malformations.
+    for the corresponding malformations, and ScanCSVError for any other bad
+    row (unparsable or non-finite fields, nonpositive durations, ...).
     """
     with open(path, "r", encoding="ascii") as fh:
         rows = [ln.strip() for ln in fh if ln.strip() and not ln.lstrip().startswith("#")]
@@ -297,14 +302,16 @@ def read_scan_csv(path):
         if len(parts) != 3:
             raise MissingColumnError(f"line {ln}: expected 3 fields, got {len(parts)}")
         try:
-            positions.append(float(parts[0]))
-            c = float(parts[1])
-            durations.append(float(parts[2]))
+            x, c, t = (float(p) for p in parts)
         except ValueError as exc:
             raise ScanCSVError(f"line {ln}: {exc}") from exc
+        if not (math.isfinite(x) and math.isfinite(c) and math.isfinite(t)):
+            raise ScanCSVError(f"line {ln}: non-finite value in {row!r}")
         if c != int(c):
             raise NonIntegerCountsError(f"line {ln}: counts value {parts[1]} is not an integer")
+        positions.append(x)
         counts.append(int(c))
+        durations.append(t)
     positions = np.array(positions)
     if not np.all(np.diff(positions) > 0):
         raise NonMonotonicPositionsError("positions must be strictly increasing")

@@ -2,9 +2,12 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import turbghost
 from turbghost.campaign import simulate_point
@@ -18,7 +21,8 @@ from turbghost.config import (
     load_config,
 )
 from turbghost.fitting import fit_scan
-from turbghost.scan import format_scan_csv, read_scan_csv
+from turbghost.model import OpticsConfig, kernel_sigma
+from turbghost.scan import ScanCSVError, format_scan_csv, read_scan_csv
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "fixture_scan_seed424242.csv")
 # Slit-attenuated visibility of the fixture's generating model:
@@ -109,6 +113,22 @@ class TestConfigValidation:
         with pytest.raises(ConfigSchemaError, match="shift_mm"):
             load_config(path)
 
+    @pytest.mark.parametrize("exponent", [1.0, 5.0 / 3.0])
+    def test_non_square_law_exponent_rejected(self, tmp_path, exponent):
+        path = minimal_config(tmp_path, turbulence_sweep=[
+            {"placement": "crystal_side", "l1_mm": 482.0, "alpha_per_mm2": 2.0,
+             "exponent": exponent},
+        ])
+        with pytest.raises(ConfigValueError, match=r"turbulence_sweep\[0\]\.exponent"):
+            load_config(path)
+
+    def test_square_law_exponent_accepted(self, tmp_path):
+        sweep = [{"placement": "crystal_side", "l1_mm": 482.0, "alpha_per_mm2": 2.0}]
+        implicit = load_config(minimal_config(tmp_path, turbulence_sweep=sweep))
+        sweep[0]["exponent"] = 2.0
+        explicit = load_config(minimal_config(tmp_path, turbulence_sweep=sweep))
+        assert config_hash(explicit) == config_hash(implicit)
+
     def test_both_wavenumber_forms_rejected(self, tmp_path):
         path = minimal_config(
             tmp_path,
@@ -153,6 +173,22 @@ class TestCLI:
         header = out.read_text().splitlines()[0]
         sigma = float(header.split("=")[1])
         assert sigma == pytest.approx(0.07051727546300533, rel=0.03)
+
+    def test_kernel_quadrature_shifted(self, tmp_path):
+        out = tmp_path / "kernel_quad.csv"
+        rc = main([
+            "kernel", "--method", "quadrature", "--shift-mm", "330",
+            "--source-width-mm", "12", "--effective-distance-mm", "152",
+            "--output", str(out),
+        ])
+        assert rc == 0
+        lines = out.read_text().splitlines()
+        sigma = float(lines[0].split("=")[1])
+        assert sigma == pytest.approx(kernel_sigma(2.0, 152.0, OpticsConfig().k), rel=0.02)
+        assert lines[1] == "offset_mm,value,stderr"
+        stderr = np.array([float(ln.split(",")[2]) for ln in lines[2:]])
+        assert stderr.size == 21
+        assert np.all(stderr >= 0.0)
 
     def test_bad_config_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -235,6 +271,33 @@ class TestCLI:
         p.write_text("\n".join(rows) + "\n")
         rc = main(["fit", str(p)])
         assert rc == 3
+
+
+NON_FINITE = ("inf", "-inf", "+inf", "Infinity", "nan", "NaN", "-nan")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    row=st.integers(min_value=0, max_value=14),
+    column=st.integers(min_value=0, max_value=2),
+    bad=st.sampled_from(NON_FINITE),
+)
+def test_non_finite_scan_row_exits_2(row, column, bad):
+    # Any inf/nan field in any row is a typed ScanCSVError, and the CLI
+    # reports it as exit 2 (never exit 3, never a solver warning).
+    rows = ["position_mm,counts,duration_s"]
+    for i in range(15):
+        fields = [repr(0.005 * i), str(100 + 20 * (i % 3)), "4.0"]
+        if i == row:
+            fields[column] = bad
+        rows.append(",".join(fields))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "scan.csv")
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write("\n".join(rows) + "\n")
+        with pytest.raises(ScanCSVError):
+            read_scan_csv(path)
+        assert main(["fit", path]) == 2
 
 
 class TestIngestFixture:

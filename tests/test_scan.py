@@ -66,6 +66,16 @@ class TestScanData:
         with pytest.raises(ValueError):
             ScanData(np.array([0.0, 1.0]), np.array([-1, 1]), np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_rejected(self, bad):
+        ok = np.array([1.0, 1.0])
+        with pytest.raises(ValueError, match="positions must be finite"):
+            ScanData(np.array([0.0, bad]), np.array([1, 1]), ok)
+        with pytest.raises(ValueError, match="counts must be integers"):
+            ScanData(np.array([0.0, 1.0]), np.array([1.0, bad]), ok)
+        with pytest.raises(ValueError, match="durations must be finite"):
+            ScanData(np.array([0.0, 1.0]), np.array([1, 1]), np.array([1.0, bad]))
+
 
 class TestSimulateScan:
     def test_fixed_seed_reproducible(self):
