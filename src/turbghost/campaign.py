@@ -100,7 +100,7 @@ class CampaignReport:
 
     def to_json_dict(self):
         return {
-            "schema_version": 1,
+            "schema_version": 2,
             "version": self.version,
             "config_hash": self.config_digest,
             "master_seed": self.master_seed,
@@ -139,7 +139,8 @@ def _run_point(config: ExperimentConfig, index, spec: TurbulenceSpec):
     d = effective_distance(spec, optics)
     k = optics.k
     k0 = config.pattern.fringe_wavenumber
-    v_model = fringe_visibility(optics.system_visibility, spec.alpha_per_mm2, d, k, k0)
+    v0 = config.pattern.intrinsic_visibility
+    v_model = v0 * fringe_visibility(optics.system_visibility, spec.alpha_per_mm2, d, k, k0)
     ratio = validity_ratio(d, spec.alpha_per_mm2, k, config.pattern.envelope_width_mm)
     placement = "crystal_side" if spec.side == "crystal" else "object_side"
     placement_distance = spec.l1_mm if spec.side == "crystal" else spec.distance_from_object_mm
@@ -185,7 +186,10 @@ def run_campaign(config: ExperimentConfig):
     else:
         curve_d = np.linspace(0.0, 1.0, 2)
     alpha_curve = specs[0].alpha_per_mm2 if specs else 0.0
-    curve_v = model_curve(config.optics, alpha_curve, curve_d, config.pattern.fringe_wavenumber)
+    pattern = config.pattern
+    curve_v = pattern.intrinsic_visibility * model_curve(
+        config.optics, alpha_curve, curve_d, pattern.fringe_wavenumber
+    )
     return CampaignReport(
         points=tuple(points),
         curve_distances_mm=curve_d,

@@ -27,7 +27,7 @@ from .campaign import (
     write_campaign_csv,
     write_report_json,
 )
-from .config import ConfigError, bundled_config_path, load_config_dict
+from .config import ConfigError, bundled_config_path, load_config_dict, read_config_json
 from .engine import KlyshkoPath, monte_carlo_g2, quadrature_g2, fit_kernel_sigma
 from .fitting import fit_scan, slit_correction
 from .model import (
@@ -66,12 +66,7 @@ def _apply_overrides(raw, overrides):
 
 
 def _load_config_with_overrides(args):
-    path = args.config or bundled_config_path("paper_unshifted.json")
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot load {path}: {exc}") from exc
+    raw = read_config_json(args.config or bundled_config_path("paper_unshifted.json"))
     if getattr(args, "master_seed", None) is not None:
         raw.setdefault("engine", {})["master_seed"] = args.master_seed
     if getattr(args, "output_dir", None):
@@ -256,16 +251,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, ValueError, FileNotFoundError) as exc:
         sys.stderr.write(f"configuration error: {exc}\n")
         return EXIT_CONFIG
-    except (ValueError, FileNotFoundError) as exc:
-        sys.stderr.write(f"configuration error: {exc}\n")
-        return EXIT_CONFIG
-    except NumericalFailure as exc:
-        sys.stderr.write(f"numerical failure: {exc}\n")
-        return EXIT_NUMERICAL
-    except (ArithmeticError, RuntimeError) as exc:
+    except (ArithmeticError, RuntimeError) as exc:  # NumericalFailure included
         sys.stderr.write(f"numerical failure: {exc}\n")
         return EXIT_NUMERICAL
 

@@ -5,16 +5,26 @@ because unit mixing is the most likely silent error in this domain.
 Unknown keys are rejected with their dotted path; parse errors, schema
 violations and physical-invariant violations raise distinct exception
 types so the CLI can report them precisely.
+
+The ``optics``, ``detector`` and ``engine`` sections are stated once, by
+the fields of ``OpticsConfig``, ``DetectorModel`` and ``EngineSettings``:
+each field is an allowed key, read by the reader of its type.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field, fields
 from importlib import resources
 
-from .model import ObjectPattern, OpticsConfig, TurbulenceSpec, fringe_wavenumber_from_cycles
+from .model import (
+    ObjectPattern,
+    OpticsConfig,
+    TurbulenceSpec,
+    effective_distance,
+    fringe_wavenumber_from_cycles,
+)
 from .scan import DetectorModel
 
 __all__ = [
@@ -27,12 +37,14 @@ __all__ = [
     "ExperimentConfig",
     "load_config",
     "load_config_dict",
+    "read_config_json",
     "bundled_config_path",
     "config_to_dict",
     "config_hash",
 ]
 
 SCHEMA_VERSION = 1
+SCAN_MODES = ("analytic", "kernel")
 
 
 class ConfigError(Exception):
@@ -53,21 +65,18 @@ class ConfigValueError(ConfigError):
 
 @dataclass(frozen=True)
 class EngineSettings:
-    """Numerical knobs: realization count, seeding, scan layout, kernel mode."""
+    """Numerical settings: seeding, scan layout, scan mode, source envelope."""
 
-    n_realizations: int = 10000
     master_seed: int = 20260809
     scan_points: int = 160
     scan_center_mm: float = 0.0
-    mode: str = "analytic"
+    mode: str = field(default="analytic", metadata={"choices": SCAN_MODES})
     source_width_mm: float = 4.0
 
     def __post_init__(self):
-        if self.n_realizations < 2:
-            raise ValueError("n_realizations must be >= 2")
         if self.scan_points < 2:
             raise ValueError("scan_points must be >= 2")
-        if self.mode not in ("analytic", "kernel"):
+        if self.mode not in SCAN_MODES:
             raise ValueError("mode must be 'analytic' or 'kernel'")
         if not self.source_width_mm > 0:
             raise ValueError("source_width_mm must be positive")
@@ -95,7 +104,8 @@ def _take(node, path, known):
     _require_mapping(node, path)
     unknown = sorted(set(node) - set(known))
     if unknown:
-        raise ConfigSchemaError(f"{path}: unknown keys {unknown}; allowed {sorted(known)}")
+        names = ", ".join(f"{path}.{key}" for key in unknown)
+        raise ConfigSchemaError(f"unknown key {names}; {path} allows {sorted(known)}")
     return node
 
 
@@ -110,9 +120,7 @@ def _number(node, path, key, default=None, required=False):
     return float(value)
 
 
-def _integer(node, path, key, default=None):
-    if key not in node:
-        return default
+def _integer(node, path, key):
     value = node[key]
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigSchemaError(f"{path}.{key}: expected an integer, got {type(value).__name__}")
@@ -130,31 +138,30 @@ def _string(node, path, key, default=None, choices=None):
     return value
 
 
-def _boolean(node, path, key, default=None):
-    if key not in node:
-        return default
+def _boolean(node, path, key):
     value = node[key]
     if not isinstance(value, bool):
         raise ConfigSchemaError(f"{path}.{key}: expected a boolean, got {type(value).__name__}")
     return value
 
 
-def _build_optics(node):
-    node = _take(node, "optics", {
-        "wavelength_nm", "focal_length_mm", "shift_mm", "system_visibility",
-        "image_arm_crystal_to_lens_mm", "object_arm_crystal_to_lens_mm",
-        "lens_to_detector_mm",
-    })
+_READERS = {"float": _number, "int": _integer, "bool": _boolean, "str": _string}
+
+
+def _build_section(cls, node, path):
+    """Read the flat section ``path`` into the dataclass ``cls``.
+
+    Each field of ``cls`` is an allowed key, read by the reader of the
+    field's type (a field's ``choices`` metadata restricts a string);
+    missing keys keep the dataclass default.
+    """
+    node = _take(node, path, {f.name for f in fields(cls)})
     kwargs = {}
-    for key in ("wavelength_nm", "focal_length_mm", "shift_mm", "system_visibility"):
-        val = _number(node, "optics", key)
-        if val is not None:
-            kwargs[key] = val
-    for key in ("image_arm_crystal_to_lens_mm", "object_arm_crystal_to_lens_mm", "lens_to_detector_mm"):
-        val = _number(node, "optics", key)
-        if val is not None:
-            kwargs[key] = val
-    return OpticsConfig(**kwargs)
+    for f in fields(cls):
+        if f.name in node:
+            reader = _READERS[getattr(f.type, "__name__", f.type)]
+            kwargs[f.name] = reader(node, path, f.name, **f.metadata)
+    return cls(**kwargs)
 
 
 def _build_pattern(node):
@@ -185,22 +192,6 @@ def _build_pattern(node):
     return ObjectPattern(**kwargs)
 
 
-def _build_detector(node):
-    node = _take(node, "detector", {
-        "slit_width_mm", "slit_step_mm", "integration_time_s",
-        "peak_rate_cps", "background_cps", "poisson_noise",
-    })
-    kwargs = {}
-    for key in ("slit_width_mm", "slit_step_mm", "integration_time_s", "peak_rate_cps", "background_cps"):
-        val = _number(node, "detector", key)
-        if val is not None:
-            kwargs[key] = val
-    noise = _boolean(node, "detector", "poisson_noise")
-    if noise is not None:
-        kwargs["poisson_noise"] = noise
-    return DetectorModel(**kwargs)
-
-
 def _build_sweep_point(node, path):
     node = _take(node, path, {
         "placement", "l1_mm", "distance_from_object_mm", "alpha_per_mm2", "exponent",
@@ -226,28 +217,6 @@ def _build_sweep_point(node, path):
     return TurbulenceSpec.object_side(alpha, dist, exponent=exponent)
 
 
-def _build_engine(node):
-    node = _take(node, "engine", {
-        "n_realizations", "master_seed", "scan_points", "scan_center_mm",
-        "mode", "source_width_mm",
-    })
-    kwargs = {}
-    for key in ("n_realizations", "master_seed", "scan_points"):
-        val = _integer(node, "engine", key)
-        if val is not None:
-            kwargs[key] = val
-    center = _number(node, "engine", "scan_center_mm")
-    if center is not None:
-        kwargs["scan_center_mm"] = center
-    mode = _string(node, "engine", "mode", choices={"analytic", "kernel"})
-    if mode is not None:
-        kwargs["mode"] = mode
-    ws = _number(node, "engine", "source_width_mm")
-    if ws is not None:
-        kwargs["source_width_mm"] = ws
-    return EngineSettings(**kwargs)
-
-
 _TOP_KEYS = {
     "schema_version", "label", "optics", "pattern", "detector",
     "turbulence_sweep", "engine", "output_dir",
@@ -263,10 +232,10 @@ def load_config_dict(raw):
             f"config.schema_version: expected {SCHEMA_VERSION}, got {version!r}"
         )
     try:
-        optics = _build_optics(raw.get("optics", {}))
+        optics = _build_section(OpticsConfig, raw.get("optics", {}), "optics")
         pattern = _build_pattern(raw.get("pattern", {}))
-        detector = _build_detector(raw.get("detector", {}))
-        engine = _build_engine(raw.get("engine", {}))
+        detector = _build_section(DetectorModel, raw.get("detector", {}), "detector")
+        engine = _build_section(EngineSettings, raw.get("engine", {}), "engine")
         sweep_node = raw.get("turbulence_sweep", [])
         if not isinstance(sweep_node, list):
             raise ConfigSchemaError("config.turbulence_sweep: expected a list")
@@ -275,8 +244,6 @@ def load_config_dict(raw):
             for i, entry in enumerate(sweep_node)
         )
         # Placement ranges depend on the optics; check them now, not at use time.
-        from .model import effective_distance
-
         for i, spec in enumerate(sweep):
             try:
                 effective_distance(spec, optics)
@@ -291,16 +258,20 @@ def load_config_dict(raw):
     return ExperimentConfig(optics, pattern, detector, sweep, engine, label, output_dir)
 
 
-def load_config(path):
-    """Load and validate a JSON experiment configuration file."""
+def read_config_json(path):
+    """Parse a config file into its raw JSON object (not yet validated)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ConfigParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigParseError(f"{path} is not valid JSON: {exc}") from exc
-    return load_config_dict(raw)
+
+
+def load_config(path):
+    """Load and validate a JSON experiment configuration file."""
+    return load_config_dict(read_config_json(path))
 
 
 def bundled_config_path(name):
@@ -312,7 +283,12 @@ def bundled_config_path(name):
 
 
 def config_to_dict(config: ExperimentConfig):
-    """Canonical echo of a validated config (all defaults resolved)."""
+    """Canonical echo of a validated config (all defaults resolved).
+
+    ``load_config_dict`` accepts the echo back and gives the same config.
+    ``output_dir`` is left out: it is a deployment path and changes no
+    number, so it is not part of the echo or the config hash.
+    """
     sweep = []
     for spec in config.sweep:
         entry = {
@@ -328,39 +304,16 @@ def config_to_dict(config: ExperimentConfig):
     return {
         "schema_version": SCHEMA_VERSION,
         "label": config.label,
-        "optics": {
-            "wavelength_nm": config.optics.wavelength_nm,
-            "focal_length_mm": config.optics.focal_length_mm,
-            "shift_mm": config.optics.shift_mm,
-            "system_visibility": config.optics.system_visibility,
-            "image_arm_crystal_to_lens_mm": config.optics.image_arm_crystal_to_lens_mm,
-            "object_arm_crystal_to_lens_mm": config.optics.object_arm_crystal_to_lens_mm,
-            "lens_to_detector_mm": config.optics.lens_to_detector_mm,
-        },
+        "optics": asdict(config.optics),
         "pattern": {
             "envelope_width_mm": config.pattern.envelope_width_mm,
             "fringe_wavenumber_rad_per_mm": config.pattern.fringe_wavenumber,
             "form": config.pattern.form,
             "intrinsic_visibility": config.pattern.intrinsic_visibility,
         },
-        "detector": {
-            "slit_width_mm": config.detector.slit_width_mm,
-            "slit_step_mm": config.detector.slit_step_mm,
-            "integration_time_s": config.detector.integration_time_s,
-            "peak_rate_cps": config.detector.peak_rate_cps,
-            "background_cps": config.detector.background_cps,
-            "poisson_noise": config.detector.poisson_noise,
-        },
+        "detector": asdict(config.detector),
         "turbulence_sweep": sweep,
-        "engine": {
-            "n_realizations": config.engine.n_realizations,
-            "master_seed": config.engine.master_seed,
-            "scan_points": config.engine.scan_points,
-            "scan_center_mm": config.engine.scan_center_mm,
-            "mode": config.engine.mode,
-            "source_width_mm": config.engine.source_width_mm,
-        },
-        "output_dir": config.output_dir,
+        "engine": asdict(config.engine),
     }
 
 

@@ -54,7 +54,6 @@ from .model import (
 from .screens import TiltScreen, mutual_coherence, tilt_slopes
 
 __all__ = [
-    "GridResolutionError",
     "KlyshkoPath",
     "ImageProfile",
     "klyshko_amplitude",
@@ -66,33 +65,36 @@ __all__ = [
 ]
 
 
-class GridResolutionError(ValueError):
-    """A quadrature grid would under-resolve the fastest Fresnel chirp."""
+# Nominal width of the ideal response where the geometry makes it exactly
+# a delta (delta == 0).
+IDEAL_RESOLUTION_MM = 1e-3
+# Monte Carlo histogram: 81 bins over 8 displacement spreads, the spread
+# floored so an unturbulent ensemble still gets a finite central bin.
+MC_BINS = 81
+MC_RESOLUTION_FLOOR_MM = 1e-4
+# Quadrature kernel offsets: 21 points across +-3 closed-form widths.
+QUADRATURE_OFFSETS = 21
+QUADRATURE_SPAN_SIGMAS = 3.0
 
 
 @dataclass(frozen=True)
 class KlyshkoPath:
-    """Folded-path geometry plus numerical regularization parameters.
+    """Folded-path geometry plus the source envelope that regularizes it.
 
     ``source_width_mm`` is the Gaussian source envelope w_s.  It only
     enters for a shifted crystal (delta != 0), where the finite envelope
     adds an instrumental point-spread width |delta| / (sqrt(2) k w_s) in
     quadrature with any turbulence blur; pick w_s large enough that this
-    is negligible against the blur under study.  ``ideal_resolution_mm``
-    is the nominal width used to represent the delta-like ideal response
-    when the geometry makes it exactly a delta (delta == 0).
+    is negligible against the blur under study.
     """
 
     optics: OpticsConfig
     turbulence: TurbulenceSpec
     source_width_mm: float = 4.0
-    ideal_resolution_mm: float = 1e-3
 
     def __post_init__(self):
         if not self.source_width_mm > 0:
             raise ValueError("source_width_mm must be positive")
-        if not self.ideal_resolution_mm > 0:
-            raise ValueError("ideal_resolution_mm must be positive")
         # The envelope must span many optical periods or it is not "wide".
         if self.source_width_mm * self.optics.k < 100.0:
             raise ValueError("source_width_mm too small relative to 1/k")
@@ -124,7 +126,7 @@ class KlyshkoPath:
     def psf_sigma_mm(self):
         """Width of the ideal (no turbulence) |A|^2 response in x2 - x1."""
         if abs(self.shift_mm) < 1e-12:
-            return self.ideal_resolution_mm
+            return IDEAL_RESOLUTION_MM
         return abs(self.shift_mm) / (math.sqrt(2.0) * self.k * self.source_width_mm)
 
 
@@ -156,7 +158,7 @@ def _prefield(xt, x1, path: KlyshkoPath):
     return b / np.abs(b).max()
 
 
-def _turbulence_grid(path: KlyshkoPath, u_max, oversample=1.0):
+def _turbulence_grid(path: KlyshkoPath, u_max):
     """Turbulence-plane grid: spacing at four points per fastest local
     Fresnel fringe (pi * d_min / (4 k x_max)), span covering the source
     envelope's geometric footprint plus the coherence range."""
@@ -169,7 +171,7 @@ def _turbulence_grid(path: KlyshkoPath, u_max, oversample=1.0):
         footprint = path.source_width_mm * d / delta  # stationary-phase image of w_s
         half_span = 3.2 * footprint + 0.6 * u_max
     dmin = min(x for x in (d, l1, delta) if x > 1e-9)
-    dx = math.pi * dmin / (4.0 * path.k * half_span) / oversample
+    dx = math.pi * dmin / (4.0 * path.k * half_span)
     n = int(math.ceil(2.0 * half_span / dx)) | 1
     return (np.arange(n) - n // 2) * dx, dx
 
@@ -192,22 +194,10 @@ def klyshko_amplitude(x1, x2, screen, path: KlyshkoPath):
     return klyshko_amplitude_quadrature(x1, x2, screen, path)
 
 
-def klyshko_amplitude_quadrature(x1, x2, screen, path: KlyshkoPath, n_points=None):
-    """Direct quadrature of the folded kernels for one screen realization.
-
-    Refuses to run on an under-resolved grid: if ``n_points`` is given and
-    falls short of four points per fastest local Fresnel fringe, a
-    GridResolutionError is raised instead of silently aliasing.
-    """
+def klyshko_amplitude_quadrature(x1, x2, screen, path: KlyshkoPath):
+    """Direct quadrature of the folded kernels for one screen realization,
+    on the turbulence-plane grid of ``_turbulence_grid``."""
     xt, dx = _turbulence_grid(path, u_max=2.0)
-    if n_points is not None:
-        if n_points < xt.size:
-            raise GridResolutionError(
-                f"grid of {n_points} points under-resolves the Fresnel chirp; "
-                f"need >= {xt.size} over span {xt[-1] - xt[0]:.3g} mm"
-            )
-        xt = np.linspace(xt[0], xt[-1], int(n_points) | 1)
-        dx = xt[1] - xt[0]
     d = path.effective_distance_mm
     if abs(d) < 1e-12:
         raise ValueError("quadrature undefined at zero effective distance (ideal kernel)")
@@ -220,36 +210,24 @@ def klyshko_amplitude_quadrature(x1, x2, screen, path: KlyshkoPath, n_points=Non
     return complex(np.sum(field) * dx)
 
 
-def monte_carlo_g2(
-    path: KlyshkoPath,
-    alpha_per_mm2,
-    n_screens,
-    master_seed,
-    bins=81,
-    span_mm=None,
-    resolution_floor_mm=1e-4,
-):
+def monte_carlo_g2(path: KlyshkoPath, alpha_per_mm2, n_screens, master_seed):
     """Coincidence kernel estimated over n random tilt screens.
 
     Each screen displaces the ideal point response by -a d / k; the
     kernel in the separation x2 - x1 is the histogram of those
-    displacements (integer counts, so accumulation order cannot change
-    the result).  Values are peak-normalized with Poisson per-bin
-    standard errors.  With no turbulence every displacement is zero and
+    displacements in ``MC_BINS`` bins over 8 times their spread (integer
+    counts, so accumulation order cannot change the result).  Values are
+    peak-normalized with Poisson per-bin standard errors.  With no turbulence every displacement is zero and
     all mass lands in the central resolution bin.
     """
     if n_screens < 2:
         raise ValueError("n_screens must be >= 2")
     if alpha_per_mm2 < 0:
         raise ValueError("alpha_per_mm2 must be >= 0")
-    if bins < 3 or bins % 2 == 0:
-        raise ValueError("bins must be an odd integer >= 3")
     d = path.effective_distance_mm
     displacements = -tilt_slopes(alpha_per_mm2, n_screens, master_seed) * d / path.k
-    if span_mm is None:
-        spread = float(displacements.std())
-        span_mm = 8.0 * max(spread, resolution_floor_mm)
-    edges = np.linspace(-span_mm / 2.0, span_mm / 2.0, int(bins) + 1)
+    span_mm = 8.0 * max(float(displacements.std()), MC_RESOLUTION_FLOOR_MM)
+    edges = np.linspace(-span_mm / 2.0, span_mm / 2.0, MC_BINS + 1)
     counts, _ = np.histogram(displacements, bins=edges)
     centers = (edges[:-1] + edges[1:]) / 2.0
     peak = counts.max()
@@ -260,13 +238,7 @@ def monte_carlo_g2(
     return SampledKernel(centers, values, errors)
 
 
-def quadrature_g2(
-    path: KlyshkoPath,
-    alpha_per_mm2,
-    offsets_mm=None,
-    n_offsets=21,
-    span_sigmas=3.0,
-):
+def quadrature_g2(path: KlyshkoPath, alpha_per_mm2):
     """Coincidence kernel by direct quadrature with the screen-averaged correlation.
 
     Averaging |A|^2 over screens turns the pair of turbulence-plane
@@ -289,7 +261,8 @@ def quadrature_g2(
     Riemann sum in c) or 1 / (n - m) at delta = 0 (flat in c: the
     overlap-averaged diagonal).  ``standard_errors`` are the change from
     halving the lag stride, |S_1 - S_2| / peak, with S_2 the even-lag sum
-    weighted by 2 dx.
+    weighted by 2 dx.  The offsets are ``QUADRATURE_OFFSETS`` points across
+    +-``QUADRATURE_SPAN_SIGMAS`` closed-form kernel widths.
     """
     from scipy.fft import next_fast_len
 
@@ -299,11 +272,8 @@ def quadrature_g2(
     if abs(d) < 1e-12:
         raise ValueError("quadrature undefined at zero effective distance (ideal kernel)")
     sigma_expected = math.sqrt(alpha_per_mm2) * abs(d) / path.k
-    if offsets_mm is None:
-        offsets_mm = np.linspace(
-            -span_sigmas * sigma_expected, span_sigmas * sigma_expected, int(n_offsets)
-        )
-    offsets = np.asarray(offsets_mm, dtype=float)
+    half_span = QUADRATURE_SPAN_SIGMAS * sigma_expected
+    offsets = np.linspace(-half_span, half_span, QUADRATURE_OFFSETS)
     u_max = 4.5 / math.sqrt(alpha_per_mm2)
     xt, dx = _turbulence_grid(path, u_max)
     n = xt.size
@@ -380,7 +350,7 @@ class ImageProfile:
     truncation_warning: bool = False
 
 
-def synthesize_image(kernel, pattern: ObjectPattern, positions_mm=None, dx_mm=None):
+def synthesize_image(kernel, pattern: ObjectPattern, positions_mm=None):
     """Ghost image I(x1) = integral of the object against the coincidence kernel.
 
     The kernel is normalized as a density so an ideal kernel returns the
@@ -395,11 +365,10 @@ def synthesize_image(kernel, pattern: ObjectPattern, positions_mm=None, dx_mm=No
         sigma = kernel.sigma_mm
     else:
         sigma = max(fit_kernel_sigma(kernel), kernel.offsets_mm[1] - kernel.offsets_mm[0])
-    if dx_mm is None:
+    if positions_mm is None:
         dx_mm = min(period / 40.0, w / 50.0)
         if sigma > 0:
             dx_mm = min(dx_mm, sigma / 6.0)
-    if positions_mm is None:
         half = 4.0 * w
         n = int(math.ceil(2.0 * half / dx_mm)) | 1
         positions_mm = (np.arange(n) - n // 2) * dx_mm

@@ -85,17 +85,15 @@ class OpticsConfig:
     crystal sits ``shift_mm`` away from the central image plane: the
     image-arm lens is ``2 f - shift`` from the crystal and the object-arm
     lens ``2 f + shift``, so the summed crystal-to-lens distance stays
-    ``4 f`` for any shift.  ``system_visibility`` is the measured fringe
-    visibility of the system with no turbulence present.
+    ``4 f`` for any shift.  These three distances follow from ``f`` and
+    the shift and are read-only properties.  ``system_visibility`` is the
+    measured fringe visibility of the system with no turbulence present.
     """
 
     wavelength_nm: float = 650.0
     focal_length_mm: float = 500.0
     shift_mm: float = 0.0
     system_visibility: float = 1.0
-    image_arm_crystal_to_lens_mm: float | None = None
-    object_arm_crystal_to_lens_mm: float | None = None
-    lens_to_detector_mm: float | None = None
 
     def __post_init__(self):
         if not self.wavelength_nm > 0:
@@ -109,24 +107,18 @@ class OpticsConfig:
             )
         if not 0.0 < self.system_visibility <= 1.0:
             raise ValueError("system_visibility must be in (0, 1]")
-        if self.image_arm_crystal_to_lens_mm is None:
-            object.__setattr__(
-                self, "image_arm_crystal_to_lens_mm", 2.0 * f - self.shift_mm
-            )
-        if self.object_arm_crystal_to_lens_mm is None:
-            object.__setattr__(
-                self, "object_arm_crystal_to_lens_mm", 2.0 * f + self.shift_mm
-            )
-        if self.lens_to_detector_mm is None:
-            object.__setattr__(self, "lens_to_detector_mm", 2.0 * f)
-        total = self.image_arm_crystal_to_lens_mm + self.object_arm_crystal_to_lens_mm
-        if not math.isclose(total, 4.0 * f, rel_tol=0.0, abs_tol=1e-9):
-            raise ValueError(
-                f"crystal-to-lens distances must sum to 4f = {4 * f} mm, got {total}"
-            )
-        for name in ("image_arm_crystal_to_lens_mm", "lens_to_detector_mm"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+
+    @property
+    def image_arm_crystal_to_lens_mm(self):
+        return 2.0 * self.focal_length_mm - self.shift_mm
+
+    @property
+    def object_arm_crystal_to_lens_mm(self):
+        return 2.0 * self.focal_length_mm + self.shift_mm
+
+    @property
+    def lens_to_detector_mm(self):
+        return 2.0 * self.focal_length_mm
 
     @property
     def wavelength_mm(self):

@@ -9,7 +9,7 @@ counts; everything is deterministic per seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -153,15 +153,15 @@ def expected_scan_rates(
     detector: DetectorModel,
     positions_mm,
     mode="analytic",
-    kernel=None,
 ):
     """Expected coincidence rate at each slit position.
 
-    ``analytic`` evaluates the closed-form ghost image (fringe visibility
-    from the system ceiling, turbulence strength and effective distance);
-    ``kernel`` convolves the object with a coincidence kernel (the given
-    one, or the analytic Gaussian for this path).  Square-wave patterns
-    have no closed-form image and always take the kernel route.  The slit
+    Both routes carry the two contrast ceilings, the system visibility g
+    and the object's intrinsic visibility v0.  ``analytic`` evaluates the
+    closed-form ghost image at fringe visibility v0 * fringe_visibility(g,
+    ...); ``kernel`` convolves the object, at contrast g * v0, with the
+    analytic Gaussian kernel of this path.  Square-wave patterns have no
+    closed-form image and always take the kernel route.  The slit
     top-hat is applied on a fine grid, and the result is scaled so the
     profile peak sits at the detector's peak rate, plus the background.
     """
@@ -181,7 +181,7 @@ def expected_scan_rates(
 
     if mode == "analytic" and pattern.form == "sinusoid":
         d = path.effective_distance_mm
-        vis = fringe_visibility(
+        vis = pattern.intrinsic_visibility * fringe_visibility(
             path.optics.system_visibility,
             alpha_per_mm2,
             d,
@@ -190,12 +190,10 @@ def expected_scan_rates(
         )
         profile = ImageProfile(grid, ghost_image_profile(grid, pattern, vis))
     elif mode in ("analytic", "kernel"):
-        kern = kernel
-        if kern is None:
-            kern = kernel_from_turbulence(
-                alpha_per_mm2, path.effective_distance_mm, path.k
-            )
-        profile = synthesize_image(kern, pattern, positions_mm=grid)
+        kern = kernel_from_turbulence(alpha_per_mm2, path.effective_distance_mm, path.k)
+        contrast = path.optics.system_visibility * pattern.intrinsic_visibility
+        seen = replace(pattern, intrinsic_visibility=contrast)
+        profile = synthesize_image(kern, seen, positions_mm=grid)
     else:
         raise ValueError(f"mode must be 'analytic' or 'kernel', got {mode!r}")
 
@@ -214,7 +212,6 @@ def simulate_scan(
     n_positions=160,
     center_mm=0.0,
     mode="analytic",
-    kernel=None,
 ):
     """Synthesize one coincidence scan, deterministic per seed.
 
@@ -226,7 +223,7 @@ def simulate_scan(
     offsets = (np.arange(int(n_positions)) - (int(n_positions) - 1) / 2.0)
     positions = center_mm + detector.slit_step_mm * offsets
     rates = expected_scan_rates(
-        path, alpha_per_mm2, pattern, detector, positions, mode=mode, kernel=kernel
+        path, alpha_per_mm2, pattern, detector, positions, mode=mode
     )
     expected = rates * detector.integration_time_s
     if detector.poisson_noise:

@@ -35,11 +35,13 @@ __all__ = [
     "sample_powerlaw_screen",
     "estimate_structure_function",
     "mutual_coherence",
-    "dump_ensemble_csv",
-    "load_ensemble_csv",
 ]
 
-SEED_DERIVATION = "numpy.random.SeedSequence((master_seed, index))"
+# Power-law spectral window: 48 log-spaced modes per decade between the
+# 40 m outer scale and the 2 um inner scale.
+OUTER_SCALE_MM = 4.0e4
+INNER_SCALE_MM = 2.0e-3
+MODES_PER_DECADE = 48
 
 
 def screen_rng(master_seed, index):
@@ -55,9 +57,6 @@ class TiltScreen:
 
     def phase(self, x):
         return self.slope_rad_per_mm * np.asarray(x, dtype=float)
-
-    def transmittance(self, x):
-        return np.exp(1j * self.phase(x))
 
 
 @dataclass(frozen=True)
@@ -84,9 +83,6 @@ class GriddedScreen:
             raise ValueError("requested positions outside screen support")
         return np.interp(x, self.x_mm, self.phase_rad)
 
-    def transmittance(self, x):
-        return np.exp(1j * self.phase(x))
-
 
 def sample_tilt_screen(alpha_per_mm2, seed):
     """Draw one tilt screen with slope ~ Normal(0, alpha)."""
@@ -97,7 +93,7 @@ def sample_tilt_screen(alpha_per_mm2, seed):
     return TiltScreen(slope)
 
 
-def _powerlaw_modes(alpha, p, outer_scale_mm, inner_scale_mm, modes_per_decade):
+def _powerlaw_modes(alpha, p):
     """Log-spaced one-sided spectral modes for D(r) = alpha r^p, 0 < p < 2.
 
     One-sided density S(f) = A f^-(1+p) with A chosen so that
@@ -105,8 +101,8 @@ def _powerlaw_modes(alpha, p, outer_scale_mm, inner_scale_mm, modes_per_decade):
     scales window the integral to [1/L0, 1/l0].
     """
     A = alpha * _gamma(1.0 + p) * math.sin(p * math.pi / 2.0) / ((2.0 * math.pi) ** p * math.pi)
-    fmin, fmax = 1.0 / outer_scale_mm, 1.0 / inner_scale_mm
-    n_modes = int(math.ceil(math.log10(fmax / fmin) * modes_per_decade))
+    fmin, fmax = 1.0 / OUTER_SCALE_MM, 1.0 / INNER_SCALE_MM
+    n_modes = int(math.ceil(math.log10(fmax / fmin) * MODES_PER_DECADE))
     f = np.geomspace(fmin, fmax, n_modes)
     df = np.empty_like(f)
     df[1:-1] = (f[2:] - f[:-2]) / 2.0
@@ -115,15 +111,7 @@ def _powerlaw_modes(alpha, p, outer_scale_mm, inner_scale_mm, modes_per_decade):
     return f, A * f ** (-(1.0 + p)), df
 
 
-def sample_powerlaw_screen(
-    alpha,
-    p,
-    grid_mm,
-    seed,
-    outer_scale_mm=4.0e4,
-    inner_scale_mm=2.0e-3,
-    modes_per_decade=48,
-):
+def sample_powerlaw_screen(alpha, p, grid_mm, seed):
     """Draw one gridded screen whose ensemble structure function is alpha * r^p.
 
     ``p == 2`` degenerates to the exact tilt realization evaluated on the
@@ -149,7 +137,7 @@ def sample_powerlaw_screen(
     if p == 2.0:
         slope = rng.standard_normal() * math.sqrt(alpha)
         return GriddedScreen(grid, slope * grid, alpha, p, float(spacing[0]))
-    f, S, df = _powerlaw_modes(alpha, p, outer_scale_mm, inner_scale_mm, modes_per_decade)
+    f, S, df = _powerlaw_modes(alpha, p)
     amp = np.sqrt(S * df)
     a = rng.standard_normal(f.size)
     b = rng.standard_normal(f.size)
@@ -168,7 +156,6 @@ class ScreenEnsemble:
 
     screens: tuple
     master_seed: int
-    derivation: str = SEED_DERIVATION
 
     def __len__(self):
         return len(self.screens)
@@ -187,11 +174,11 @@ class ScreenEnsemble:
         return cls(tuple(TiltScreen(float(a)) for a in slopes), int(master_seed))
 
     @classmethod
-    def powerlaw(cls, alpha, p, grid_mm, n_screens, master_seed, **synth_kwargs):
+    def powerlaw(cls, alpha, p, grid_mm, n_screens, master_seed):
         if n_screens < 1:
             raise ValueError("n_screens must be >= 1")
         screens = tuple(
-            sample_powerlaw_screen(alpha, p, grid_mm, screen_rng(master_seed, i), **synth_kwargs)
+            sample_powerlaw_screen(alpha, p, grid_mm, screen_rng(master_seed, i))
             for i in range(n_screens)
         )
         return cls(screens, int(master_seed))
@@ -274,31 +261,3 @@ def mutual_coherence(alpha_per_mm2, dx_mm):
     out = np.exp(-alpha_per_mm2 * dx**2 / 2.0)
     return out if out.ndim else float(out)
 
-
-def dump_ensemble_csv(ensemble: ScreenEnsemble, path):
-    """Write a tilt ensemble as 'index,slope' rows (full float precision)."""
-    lines = ["index,slope"]
-    for i, screen in enumerate(ensemble):
-        if not isinstance(screen, TiltScreen):
-            raise ValueError("only tilt ensembles serialize to CSV")
-        lines.append(f"{i},{screen.slope_rad_per_mm!r}")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_ensemble_csv(path, master_seed=-1):
-    """Read a tilt ensemble written by dump_ensemble_csv."""
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip()
-        if header != "index,slope":
-            raise ValueError(f"unexpected header {header!r}")
-        screens = []
-        for ln, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            idx_s, slope_s = line.split(",")
-            if int(idx_s) != len(screens):
-                raise ValueError(f"non-contiguous index at line {ln}")
-            screens.append(TiltScreen(float(slope_s)))
-    return ScreenEnsemble(tuple(screens), master_seed, derivation="loaded from CSV")

@@ -18,7 +18,9 @@ from turbghost.config import (
     ConfigValueError,
     bundled_config_path,
     config_hash,
+    config_to_dict,
     load_config,
+    load_config_dict,
 )
 from turbghost.fitting import fit_scan
 from turbghost.model import OpticsConfig, kernel_sigma
@@ -129,6 +131,22 @@ class TestConfigValidation:
         explicit = load_config(minimal_config(tmp_path, turbulence_sweep=sweep))
         assert config_hash(explicit) == config_hash(implicit)
 
+    @pytest.mark.parametrize("section, key", [
+        ("engine", "n_realizations"),
+        ("optics", "image_arm_crystal_to_lens_mm"),
+        ("optics", "object_arm_crystal_to_lens_mm"),
+        ("optics", "lens_to_detector_mm"),
+    ])
+    def test_removed_key_rejected_with_dotted_path(self, tmp_path, section, key):
+        path = minimal_config(tmp_path, **{section: {key: 1000}})
+        with pytest.raises(ConfigSchemaError, match=rf"{section}\.{key}\b"):
+            load_config(path)
+
+    def test_bad_mode_is_schema_error(self, tmp_path):
+        path = minimal_config(tmp_path, engine={"mode": "exact"})
+        with pytest.raises(ConfigSchemaError, match=r"engine\.mode"):
+            load_config(path)
+
     def test_both_wavenumber_forms_rejected(self, tmp_path):
         path = minimal_config(
             tmp_path,
@@ -136,6 +154,40 @@ class TestConfigValidation:
         )
         with pytest.raises(ConfigSchemaError):
             load_config(path)
+
+
+class TestConfigEcho:
+    KERNEL_MODE = {
+        "schema_version": 1,
+        "pattern": {"fringe_wavenumber_rad_per_mm": 22.6, "intrinsic_visibility": 0.8},
+        "turbulence_sweep": [
+            {"placement": "object_side", "distance_from_object_mm": 203.0, "alpha_per_mm2": 2.0}
+        ],
+        "engine": {"mode": "kernel", "master_seed": 3},
+    }
+
+    @pytest.mark.parametrize("raw", [
+        "paper_unshifted.json",
+        "paper_shifted.json",
+        {"schema_version": 1},
+        KERNEL_MODE,
+    ], ids=["paper_unshifted", "paper_shifted", "minimal", "kernel_mode_radians"])
+    def test_echo_loads_back_with_same_hash(self, raw):
+        if isinstance(raw, str):
+            cfg = load_config(bundled_config_path(raw))
+        else:
+            cfg = load_config_dict(raw)
+        echo = config_to_dict(cfg)
+        assert "output_dir" not in echo
+        again = load_config_dict(echo)
+        assert config_hash(again) == config_hash(cfg)
+        assert config_to_dict(again) == echo
+
+    def test_output_dir_not_hashed(self):
+        a = load_config_dict({"schema_version": 1})
+        b = load_config_dict({"schema_version": 1, "output_dir": "elsewhere"})
+        assert b.output_dir == "elsewhere"
+        assert config_hash(a) == config_hash(b)
 
 
 class TestCLI:
@@ -196,6 +248,19 @@ class TestCLI:
         rc = main(["simulate", "--config", str(path)])
         assert rc == 2
         assert "configuration error" in capsys.readouterr().err
+
+    def test_campaign_missing_config_exit_code(self, tmp_path, capsys):
+        rc = main(["campaign", "--config", str(tmp_path / "missing.json"),
+                   "--output-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert "configuration error" in capsys.readouterr().err
+
+    def test_campaign_invalid_json_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text("{not json")
+        rc = main(["campaign", "--config", str(path), "--output-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert "not valid JSON" in capsys.readouterr().err
 
     def test_invalid_config_value_exit_code(self, tmp_path, capsys):
         path = minimal_config(tmp_path, optics={"shift_mm": 1200.0})

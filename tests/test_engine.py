@@ -5,7 +5,6 @@ import pytest
 
 from turbghost import engine
 from turbghost.engine import (
-    GridResolutionError,
     KlyshkoPath,
     fit_kernel_sigma,
     klyshko_amplitude,
@@ -89,11 +88,6 @@ class TestAmplitude:
 
         p1, p2 = peak(0.4), peak(0.8)
         assert p2 / p1 == pytest.approx(2.0, rel=5e-3)
-
-    def test_under_resolved_grid_refused(self):
-        path = crystal_path(2.0, 482.0)
-        with pytest.raises(GridResolutionError):
-            klyshko_amplitude_quadrature(0.0, 0.0, TiltScreen(0.5), path, n_points=100)
 
     def test_gridded_screen_matches_tilt_quadrature(self):
         # A gridded screen holding a pure linear phase must reproduce the

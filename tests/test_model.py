@@ -76,13 +76,6 @@ class TestOpticsConfig:
         with pytest.raises(ValueError):
             OpticsConfig(shift_mm=1200.0)
 
-    def test_bad_arm_sum_rejected(self):
-        with pytest.raises(ValueError):
-            OpticsConfig(
-                image_arm_crystal_to_lens_mm=900.0,
-                object_arm_crystal_to_lens_mm=1200.0,
-            )
-
     @pytest.mark.parametrize("g", [0.0, -0.1, 1.2])
     def test_bad_system_visibility(self, g):
         with pytest.raises(ValueError):

@@ -4,8 +4,14 @@ import numpy as np
 import pytest
 
 from turbghost.engine import KlyshkoPath
-from turbghost.fitting import fit_profile
-from turbghost.model import ObjectPattern, OpticsConfig, TurbulenceSpec
+from turbghost.fitting import fit_profile, fit_scan, slit_factor
+from turbghost.model import (
+    ObjectPattern,
+    OpticsConfig,
+    TurbulenceSpec,
+    fringe_visibility,
+    kernel_sigma,
+)
 from turbghost.scan import (
     DetectorModel,
     MissingColumnError,
@@ -152,6 +158,29 @@ class TestSimulateScan:
         det = DetectorModel(poisson_noise=False)
         data = simulate_scan(path, 2.0, ObjectPattern(form="squarewave"), det, seed=1)
         assert data.counts.max() > 0
+
+    @pytest.mark.parametrize("mode", ["analytic", "kernel"])
+    @pytest.mark.parametrize("g, v0", [(0.65, 1.0), (1.0, 0.5)])
+    def test_both_routes_apply_both_ceilings(self, mode, g, v0):
+        # Noiseless scan: the slit-corrected fitted visibility is g * v0
+        # times the law the mode implements (closed form for analytic, the
+        # finite-envelope convolution for kernel).
+        shift = 330.0 if g < 1.0 else 0.0
+        optics = OpticsConfig(shift_mm=shift, system_visibility=g)
+        path = KlyshkoPath(optics, TurbulenceSpec.crystal_side(2.0, 152.0 + shift))
+        pattern = ObjectPattern(intrinsic_visibility=v0)
+        det = DetectorModel(integration_time_s=1e6, poisson_noise=False)
+        data = simulate_scan(path, 2.0, pattern, det, seed=1, mode=mode)
+        fit = fit_scan(data)
+        assert fit.converged
+        k0 = pattern.fringe_wavenumber
+        corrected = fit.model.visibility / slit_factor(k0, det.slit_width_mm)
+        if mode == "analytic":
+            law = fringe_visibility(1.0, 2.0, 152.0, path.k, k0)
+        else:
+            s2 = kernel_sigma(2.0, 152.0, path.k) ** 2
+            law = math.exp(-k0 * k0 * s2 / (2.0 * (1.0 + s2 / pattern.envelope_width_mm**2)))
+        assert corrected == pytest.approx(g * v0 * law, rel=0.02)
 
 
 def _scan_xy(path, pattern, det):

@@ -6,9 +6,7 @@ import pytest
 from turbghost.screens import (
     GriddedScreen,
     ScreenEnsemble,
-    dump_ensemble_csv,
     estimate_structure_function,
-    load_ensemble_csv,
     mutual_coherence,
     sample_powerlaw_screen,
     sample_tilt_screen,
@@ -157,25 +155,3 @@ class TestPowerlawScreens:
         b = sample_powerlaw_screen(1.0, 5 / 3, grid, np.random.SeedSequence((9, 4)))
         np.testing.assert_array_equal(a.phase_rad, b.phase_rad)
 
-
-class TestEnsembleCSV:
-    def test_round_trip_bit_exact(self, tmp_path):
-        ens = ScreenEnsemble.tilts(2.0, 25, MASTER)
-        path = tmp_path / "screens.csv"
-        dump_ensemble_csv(ens, path)
-        back = load_ensemble_csv(path)
-        assert len(back) == len(ens)
-        for a, b in zip(ens, back):
-            assert a.slope_rad_per_mm == b.slope_rad_per_mm
-
-    def test_gridded_refused(self, tmp_path):
-        grid = np.arange(16) * 0.1
-        ens = ScreenEnsemble.powerlaw(1.0, 1.5, grid, 2, MASTER)
-        with pytest.raises(ValueError):
-            dump_ensemble_csv(ens, tmp_path / "x.csv")
-
-    def test_bad_header_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("idx,slope\n0,1.0\n")
-        with pytest.raises(ValueError):
-            load_ensemble_csv(path)
