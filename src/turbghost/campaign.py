@@ -8,15 +8,22 @@ hash and the master seed.  Points run serially in sweep order.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import __version__
-from .config import ConfigValueError, ExperimentConfig, config_hash, config_to_dict
+from .config import (
+    ConfigValueError,
+    ExperimentConfig,
+    bundled_config_path,
+    config_hash,
+    config_to_dict,
+    load_config,
+)
 from .engine import KlyshkoPath
 from .fitting import fit_scan, slit_factor
 from .model import (
@@ -225,13 +232,11 @@ def write_campaign_csv(report: CampaignReport, path):
 
 # --- figure-data reproduction -------------------------------------------
 
-_UNSHIFTED = dict(shift_mm=0.0, system_visibility=1.00, peak_rate_cps=200.0)
-_SHIFTED = dict(shift_mm=330.0, system_visibility=0.65, peak_rate_cps=50.0)
-_FIG_ALPHA = 2.0
 
-
-def _paper_optics(shift_mm, system_visibility, **_):
-    return OpticsConfig(shift_mm=shift_mm, system_visibility=system_visibility)
+def _paper_setups():
+    """The bundled paper setups: unshifted, then shifted 330 mm off the image plane."""
+    return [load_config(bundled_config_path(f"paper_{tag}.json"))
+            for tag in ("unshifted", "shifted")]
 
 
 def model_curve(optics: OpticsConfig, alpha, distances_mm, k0):
@@ -243,17 +248,19 @@ def model_curve(optics: OpticsConfig, alpha, distances_mm, k0):
     )
 
 
-def curve_crossing(alpha, k0, lo_mm=50.0, hi_mm=329.0):
-    """Crystal-side l1 where the shifted curve overtakes the unshifted one."""
-    opt_u = _paper_optics(**_UNSHIFTED)
-    opt_s = _paper_optics(**_SHIFTED)
+def curve_crossing(alpha, k0):
+    """Crystal-side l1 where the shifted curve overtakes the unshifted one.
 
-    def gap(l1):
-        vu = fringe_visibility(opt_u.system_visibility, alpha, l1 - opt_u.shift_mm, opt_u.k, k0)
-        vs = fringe_visibility(opt_s.system_visibility, alpha, l1 - opt_s.shift_mm, opt_s.k, k0)
-        return vu - vs
-
-    return float(brentq(gap, lo_mm, hi_mm))
+    With c = alpha / (2 (k/k0)^2) for the shared k, the curves
+    g exp(-c (l1 - s)^2) meet once, at (s_u + s_s)/2 + ln(g_u/g_s) / (2c (s_s - s_u)).
+    """
+    if not alpha > 0:
+        raise ValueError("alpha must be > 0: without turbulence the curves never cross")
+    unshifted, shifted = (cfg.optics for cfg in _paper_setups())
+    c = alpha / (2.0 * (unshifted.k / k0) ** 2)
+    s_u, s_s = unshifted.shift_mm, shifted.shift_mm
+    log_ratio = math.log(unshifted.system_visibility / shifted.system_visibility)
+    return (s_u + s_s) / 2.0 + log_ratio / (2.0 * c * (s_s - s_u))
 
 
 def _write_curve_csv(path, header, columns):
@@ -267,6 +274,8 @@ def _write_curve_csv(path, header, columns):
 def reproduce_figure(which, out_dir, master_seed=20260809):
     """Emit the model-curve (and for fig3, synthetic-scan) CSV data files.
 
+    Every figure is drawn from the two bundled paper setups: their optics,
+    pattern, detector, scan length and the alpha of their first sweep point.
     fig3: representative scans for both configurations with no turbulence,
     object-side turbulence (229 mm unshifted / 203 mm shifted from the
     object) and crystal-side turbulence 432 mm from the crystal.
@@ -278,69 +287,59 @@ def reproduce_figure(which, out_dir, master_seed=20260809):
     if which not in ("fig3", "fig4", "fig5"):
         raise ValueError("which must be one of fig3, fig4, fig5")
     os.makedirs(out_dir, exist_ok=True)
-    from .model import ObjectPattern
-
-    pattern = ObjectPattern()
-    k0 = pattern.fringe_wavenumber
+    unshifted, shifted = setups = _paper_setups()
     written = []
+
+    def curve(cfg, distances_mm):
+        alpha = cfg.sweep[0].alpha_per_mm2
+        return model_curve(cfg.optics, alpha, distances_mm, cfg.pattern.fringe_wavenumber)
 
     if which == "fig4":
         d = np.linspace(0.0, 250.0, 251)
-        vu = model_curve(_paper_optics(**_UNSHIFTED), _FIG_ALPHA, d, k0)
-        vs = model_curve(_paper_optics(**_SHIFTED), _FIG_ALPHA, d, k0)
         path = os.path.join(out_dir, "fig4_curve.csv")
-        _write_curve_csv(path, "d_mm,V_unshifted,V_shifted", (d, vu, vs))
+        columns = [d] + [curve(cfg, d) for cfg in setups]
+        _write_curve_csv(path, "d_mm,V_unshifted,V_shifted", columns)
         written.append(path)
 
     if which == "fig5":
         l1 = np.linspace(0.0, 500.0, 501)
-        opt_u = _paper_optics(**_UNSHIFTED)
-        opt_s = _paper_optics(**_SHIFTED)
-        vu = model_curve(opt_u, _FIG_ALPHA, l1 - opt_u.shift_mm, k0)
-        vs = model_curve(opt_s, _FIG_ALPHA, l1 - opt_s.shift_mm, k0)
         path = os.path.join(out_dir, "fig5_curve.csv")
-        _write_curve_csv(path, "l1_mm,V_unshifted,V_shifted", (l1, vu, vs))
+        columns = [l1] + [curve(cfg, l1 - cfg.optics.shift_mm) for cfg in setups]
+        _write_curve_csv(path, "l1_mm,V_unshifted,V_shifted", columns)
         written.append(path)
         meta = os.path.join(out_dir, "fig5_markers.csv")
-        crossing = curve_crossing(_FIG_ALPHA, k0)
+        crossing = curve_crossing(unshifted.sweep[0].alpha_per_mm2,
+                                  unshifted.pattern.fringe_wavenumber)
         with open(meta, "w", encoding="ascii") as fh:
             fh.write("marker,l1_mm\n")
-            fh.write(f"central_image_plane,{_fmt(_SHIFTED['shift_mm'])}\n")
+            fh.write(f"central_image_plane,{_fmt(shifted.optics.shift_mm)}\n")
             fh.write(f"curve_crossing,{_fmt(crossing)}\n")
         written.append(meta)
 
     if which == "fig3":
-        detector_base = dict(slit_width_mm=0.040, slit_step_mm=0.005, integration_time_s=4.0)
         scenarios = []
-        for tag, params in (("unshifted", _UNSHIFTED), ("shifted", _SHIFTED)):
-            optics = _paper_optics(**params)
-            d_obj = 229.0 if tag == "unshifted" else 203.0
-            scenarios.extend(
-                [
-                    (f"fig3_{tag}_no_turbulence", optics, params,
-                     TurbulenceSpec.object_side(0.0, 0.0)),
-                    (f"fig3_{tag}_object_{int(d_obj)}mm", optics, params,
-                     TurbulenceSpec.object_side(_FIG_ALPHA, d_obj)),
-                    (f"fig3_{tag}_crystal_432mm", optics, params,
-                     TurbulenceSpec.crystal_side(_FIG_ALPHA, 432.0)),
-                ]
-            )
-        from .scan import DetectorModel
-
-        for i, (name, optics, params, spec) in enumerate(scenarios):
-            detector = DetectorModel(peak_rate_cps=params["peak_rate_cps"], **detector_base)
-            path_obj = KlyshkoPath(optics, spec)
+        for cfg, d_obj in zip(setups, (229.0, 203.0)):
+            alpha = cfg.sweep[0].alpha_per_mm2
+            for tag, spec in (
+                ("no_turbulence", TurbulenceSpec.object_side(0.0, 0.0)),
+                (f"object_{int(d_obj)}mm", TurbulenceSpec.object_side(alpha, d_obj)),
+                ("crystal_432mm", TurbulenceSpec.crystal_side(alpha, 432.0)),
+            ):
+                scenarios.append((f"fig3_{cfg.label}_{tag}", cfg, spec))
+        for i, (name, cfg, spec) in enumerate(scenarios):
+            seed = point_seed(master_seed, i)
+            path_obj = KlyshkoPath(cfg.optics, spec, source_width_mm=cfg.engine.source_width_mm)
             data = simulate_scan(
                 path_obj,
                 spec.alpha_per_mm2,
-                pattern,
-                detector,
-                seed=point_seed(master_seed, i),
-                n_positions=160,
+                cfg.pattern,
+                cfg.detector,
+                seed=seed,
+                n_positions=cfg.engine.scan_points,
             )
             path = os.path.join(out_dir, f"{name}.csv")
             with open(path, "w", encoding="ascii") as fh:
-                fh.write(f"# synthetic scan: {name}, seed={point_seed(master_seed, i)}\n")
+                fh.write(f"# synthetic scan: {name}, seed={seed}\n")
                 fh.write("# peak coincidence rate is an invented default, not a measured value\n")
                 fh.write(format_scan_csv(data))
             written.append(path)

@@ -21,6 +21,7 @@ import numpy as np
 
 from . import __version__
 from .campaign import (
+    model_curve,
     run_campaign,
     reproduce_figure,
     simulate_point,
@@ -33,10 +34,8 @@ from .fitting import fit_scan, slit_correction
 from .model import (
     OpticsConfig,
     TurbulenceSpec,
-    fringe_visibility,
     fringe_wavenumber_from_cycles,
-    g2_kernel,
-    kernel_sigma,
+    kernel_from_turbulence,
     wavenumber,
 )
 from .scan import read_scan_csv, write_scan_csv
@@ -84,26 +83,24 @@ def _write_or_print(text, output):
 
 
 def _cmd_analytic(args):
-    k = wavenumber(wavelength_nm=args.wavelength_nm)
+    optics = OpticsConfig(
+        wavelength_nm=args.wavelength_nm, system_visibility=args.system_visibility
+    )
     k0 = fringe_wavenumber_from_cycles(args.cycles_per_mm)
     if args.curve:
         lo, hi, n = args.curve
         d = np.linspace(lo, hi, int(n))
-        lines = ["d_mm,V"]
-        for di in d:
-            v = fringe_visibility(args.system_visibility, args.alpha_per_mm2, di, k, k0)
-            lines.append(f"{di:.10g},{v:.10g}")
-        _write_or_print("\n".join(lines), args.output)
+        v = model_curve(optics, args.alpha_per_mm2, d, k0)
+        text = "\n".join(["d_mm,V"] + [f"{di:.10g},{vi:.10g}" for di, vi in zip(d, v)])
     else:
-        v = fringe_visibility(
-            args.system_visibility, args.alpha_per_mm2, args.effective_distance_mm, k, k0
-        )
-        _write_or_print(f"{v:.10g}", args.output)
+        v = model_curve(optics, args.alpha_per_mm2, [args.effective_distance_mm], k0)
+        text = f"{v[0]:.10g}"
+    _write_or_print(text, args.output)
     return EXIT_OK
 
 
 def _make_path(args):
-    optics = OpticsConfig(shift_mm=args.shift_mm, system_visibility=args.system_visibility)
+    optics = OpticsConfig(wavelength_nm=args.wavelength_nm, shift_mm=args.shift_mm)
     spec = TurbulenceSpec.crystal_side(args.alpha_per_mm2, args.effective_distance_mm + args.shift_mm)
     return KlyshkoPath(optics, spec, source_width_mm=args.source_width_mm)
 
@@ -111,13 +108,13 @@ def _make_path(args):
 def _cmd_kernel(args):
     if args.method == "analytic":
         k = wavenumber(wavelength_nm=args.wavelength_nm)
-        sigma = kernel_sigma(args.alpha_per_mm2, args.effective_distance_mm, k)
-        if sigma == 0:
+        kernel = kernel_from_turbulence(args.alpha_per_mm2, args.effective_distance_mm, k)
+        if kernel.ideal:
             raise NumericalFailure("ideal kernel has no finite width to tabulate")
-        dx = np.linspace(-4 * sigma, 4 * sigma, 161)
-        vals = g2_kernel(dx, args.alpha_per_mm2, args.effective_distance_mm, k)
+        out_sigma = kernel.sigma_mm
+        dx = np.linspace(-4 * out_sigma, 4 * out_sigma, 161)
+        vals = kernel.value(dx)
         errs = np.zeros_like(vals)
-        out_sigma = sigma
     else:
         path = _make_path(args)
         if args.method == "mc":
@@ -197,12 +194,12 @@ def build_parser():
     common_phys = argparse.ArgumentParser(add_help=False)
     common_phys.add_argument("--alpha-per-mm2", type=float, default=2.0)
     common_phys.add_argument("--effective-distance-mm", type=float, default=482.0)
-    common_phys.add_argument("--system-visibility", type=float, default=1.0)
     common_phys.add_argument("--wavelength-nm", type=float, default=650.0)
     common_phys.add_argument("--output", default=None)
 
     p = sub.add_parser("analytic", parents=[common_phys], help="evaluate the visibility law")
     p.add_argument("--cycles-per-mm", type=float, default=3.6)
+    p.add_argument("--system-visibility", type=float, default=1.0)
     p.add_argument("--curve", type=float, nargs=3, metavar=("LO", "HI", "N"), default=None)
     p.set_defaults(func=_cmd_analytic)
 

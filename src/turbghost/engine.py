@@ -19,7 +19,7 @@ delta = 0 the source kernel is a delta and pins x_s = x1.
 The coincidence kernel is G2(x1, x2) = <|A|^2> averaged over screens.
 Three routes to it are implemented and cross-checked by the test suite:
 
-* the closed-form Gaussian kernel (`turbghost.model.g2_kernel`),
+* the closed-form Gaussian kernel (`turbghost.model.kernel_from_turbulence`),
 * `monte_carlo_g2` over random tilt screens, using the exact tilt-shift
   fast path (a tilt of slope a displaces the ideal point-spread function
   by -a d / k),
@@ -50,6 +50,7 @@ from .model import (
     SampledKernel,
     TurbulenceSpec,
     effective_distance,
+    kernel_sigma,
 )
 from .screens import TiltScreen, mutual_coherence, tilt_slopes
 
@@ -259,9 +260,9 @@ def quadrature_g2(path: KlyshkoPath, alpha_per_mm2):
     w_m = 1 at m = 0 and 2 otherwise (the u < 0 half), times dx for a
     shifted crystal (the source envelope decays inside the window: plain
     Riemann sum in c) or 1 / (n - m) at delta = 0 (flat in c: the
-    overlap-averaged diagonal).  ``standard_errors`` are the change from
-    halving the lag stride, |S_1 - S_2| / peak, with S_2 the even-lag sum
-    weighted by 2 dx.  The offsets are ``QUADRATURE_OFFSETS`` points across
+    overlap-averaged diagonal).  The sum is deterministic, so
+    ``standard_errors`` are zero and a width fit weighs every offset
+    equally.  The offsets are ``QUADRATURE_OFFSETS`` points across
     +-``QUADRATURE_SPAN_SIGMAS`` closed-form kernel widths.
     """
     from scipy.fft import next_fast_len
@@ -271,8 +272,7 @@ def quadrature_g2(path: KlyshkoPath, alpha_per_mm2):
     d = path.effective_distance_mm
     if abs(d) < 1e-12:
         raise ValueError("quadrature undefined at zero effective distance (ideal kernel)")
-    sigma_expected = math.sqrt(alpha_per_mm2) * abs(d) / path.k
-    half_span = QUADRATURE_SPAN_SIGMAS * sigma_expected
+    half_span = QUADRATURE_SPAN_SIGMAS * kernel_sigma(alpha_per_mm2, d, path.k)
     offsets = np.linspace(-half_span, half_span, QUADRATURE_OFFSETS)
     u_max = 4.5 / math.sqrt(alpha_per_mm2)
     xt, dx = _turbulence_grid(path, u_max)
@@ -306,11 +306,8 @@ def quadrature_g2(path: KlyshkoPath, alpha_per_mm2):
     else:
         weights *= dx  # envelope decays inside the window
     phase = np.exp(1j * (path.k * dx / d) * np.outer(offsets, ms))
-    terms = (phase * lags).real * weights
-    fine = terms.sum(axis=1) * dx
-    coarse = terms[:, ::2].sum(axis=1) * (2.0 * dx)
-    peak = fine.max()
-    return SampledKernel(offsets, fine / peak, np.abs(fine - coarse) / peak)
+    g2 = ((phase * lags).real * weights).sum(axis=1) * dx
+    return SampledKernel(offsets, g2 / g2.max(), np.zeros_like(offsets))
 
 
 def fit_kernel_sigma(kernel):

@@ -107,14 +107,6 @@ class FitResult:
     n_evaluations: int = 0
     message: str = ""
 
-    @property
-    def visibility(self):
-        return None if self.model is None else self.model.visibility
-
-    @property
-    def visibility_error(self):
-        return self.errors.get("visibility")
-
     def to_json_dict(self):
         """Stable serialization schema for fit results."""
         return {
@@ -267,19 +259,16 @@ def _fit_core(x, y, sig, scale, init):
     )
 
 
-def fit_profile(positions_mm, values, sigma=None, init=None):
-    """Weighted least-squares fit of the fringe model to a sampled profile.
+def fit_profile(positions_mm, values):
+    """Unit-weight least-squares fit of the fringe model to a sampled profile.
 
-    ``sigma`` gives per-point standard deviations (unit weights when
-    omitted).  Deterministic given data and starting point.  Returns a
-    non-converged FitResult rather than raising when the optimizer stalls.
+    Starts from ``initial_guess``, so the result is a pure function of the
+    data.  Returns a non-converged FitResult rather than raising when the
+    optimizer stalls.
     """
     x = np.asarray(positions_mm, dtype=float)
     y = np.asarray(values, dtype=float)
-    sig = np.ones_like(y) if sigma is None else np.asarray(sigma, dtype=float)
-    if init is None:
-        init = initial_guess(x, y)
-    return _fit_core(x, y, sig, 1.0, init)
+    return _fit_core(x, y, np.ones_like(y), 1.0, initial_guess(x, y))
 
 
 def _evaluate_vector(p, x):
@@ -298,24 +287,23 @@ def _curvature_errors(jac):
         return [float("nan")] * jac.shape[1]
 
 
-def fit_scan(data: ScanData, init: ScanFitModel | None = None):
+def fit_scan(data: ScanData):
     """Fit the fringe model to a coincidence scan with Poisson weights.
 
     The fit runs in counts space, so heterogeneous dwell times weigh in
     correctly: residuals are (counts - duration * rate_model) / sqrt(max(counts, 1)).
     Requires at least 10 points spanning at least two fringe periods of
-    the (given or estimated) wavenumber.  All-zero counts or a stalled
+    the estimated wavenumber.  All-zero counts or a stalled
     optimizer yield an explicit non-converged result.
     """
     if len(data) < 10:
         raise ValueError("need at least 10 scan points")
     if np.all(data.counts == 0):
         return FitResult(None, {}, float("nan"), False, 0, "degenerate data: all counts zero")
-    if init is None:
-        try:
-            init = initial_guess(data.positions_mm, data.rates_cps)
-        except ValueError as exc:
-            return FitResult(None, {}, float("nan"), False, 0, f"initialization failed: {exc}")
+    try:
+        init = initial_guess(data.positions_mm, data.rates_cps)
+    except ValueError as exc:
+        return FitResult(None, {}, float("nan"), False, 0, f"initialization failed: {exc}")
     span = data.positions_mm[-1] - data.positions_mm[0]
     if span * init.fringe_wavenumber < 2.0 * 2.0 * math.pi:
         raise ValueError("scan must span at least two fringe periods")

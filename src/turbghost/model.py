@@ -31,7 +31,6 @@ __all__ = [
     "wavenumber",
     "fringe_wavenumber_from_cycles",
     "effective_distance",
-    "g2_kernel",
     "kernel_sigma",
     "kernel_from_turbulence",
     "fringe_visibility",
@@ -43,8 +42,8 @@ MM_PER_NM = 1e-6
 MM_PER_UM = 1e-3
 
 #: The thin-blur closed forms assume d*sqrt(alpha) much smaller than k*w.
-#: Ratios above this threshold are flagged; the value is a convention of
-#: this package, overridable by callers that need a different margin.
+#: Ratios above this threshold are flagged; the value is a fixed
+#: convention of this package, not a setting.
 VALIDITY_WARN_THRESHOLD = 0.1
 
 
@@ -238,36 +237,24 @@ class ObjectPattern:
         return ghost_image_profile(x, self, self.intrinsic_visibility)
 
 
-def g2_kernel(dx, alpha_per_mm2, distance_mm, k):
-    """Peak-normalized coincidence kernel at detector separation dx (mm).
-
-    A square-law turbulent sheet at distance ``d`` from the image plane
-    turns the ideal point-to-point coincidence kernel into a Gaussian in
-    the separation, ``exp(-k^2 dx^2 / (2 alpha d^2))``, i.e. a blur of
-    standard deviation ``sqrt(alpha) * |d| / k``.
-
-    For ``alpha == 0`` or ``d == 0`` the kernel is ideal (delta-like):
-    this function returns 1 where dx == 0 and 0 elsewhere, and numerical
-    callers must branch on that degenerate case rather than sample it.
-    """
-    if alpha_per_mm2 < 0:
-        raise ValueError("alpha_per_mm2 must be >= 0")
-    dx = np.asarray(dx, dtype=float)
-    if alpha_per_mm2 == 0.0 or distance_mm == 0.0:
-        out = np.where(dx == 0.0, 1.0, 0.0)
-        return out if out.ndim else float(out)
-    sigma = kernel_sigma(alpha_per_mm2, distance_mm, k)
-    out = np.exp(-(dx**2) / (2.0 * sigma**2))
-    return out if out.ndim else float(out)
-
-
 def kernel_sigma(alpha_per_mm2, distance_mm, k):
     """Gaussian blur width sqrt(alpha) * |d| / k in mm."""
     return math.sqrt(alpha_per_mm2) * abs(distance_mm) / k
 
 
 def kernel_from_turbulence(alpha_per_mm2, distance_mm, k):
-    """Analytic coherence kernel for the given turbulence strength/placement."""
+    """Analytic coincidence kernel of a turbulent sheet, peak-normalized.
+
+    A square-law turbulent sheet at distance ``d`` from the image plane
+    turns the ideal point-to-point coincidence kernel into a Gaussian in
+    the detector separation, ``exp(-k^2 dx^2 / (2 alpha d^2))``, i.e. a
+    blur of standard deviation ``sqrt(alpha) * |d| / k``.
+
+    For ``alpha == 0`` or ``d == 0`` the kernel is ideal (delta-like):
+    ``.ideal`` is True and ``.value`` is 1 where dx == 0 and 0 elsewhere,
+    so numerical callers must branch on that degenerate case rather than
+    sample it.
+    """
     return AnalyticKernel(kernel_sigma(alpha_per_mm2, distance_mm, k))
 
 
@@ -342,10 +329,9 @@ class AnalyticKernel:
 class SampledKernel:
     """Coincidence kernel tabulated on a separation grid, peak-normalized.
 
-    ``standard_errors`` carry the per-bin uncertainty of whatever estimator
-    produced the samples (statistical for Monte Carlo; for deterministic
-    quadrature, the change in the kernel when the lag stride is halved
-    from 2 to 1).
+    ``standard_errors`` carry the per-bin statistical uncertainty of the
+    estimator that produced the samples: Poisson errors for Monte Carlo,
+    zero for deterministic quadrature (which has no sampling noise).
     """
 
     offsets_mm: np.ndarray

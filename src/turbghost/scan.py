@@ -78,7 +78,6 @@ class ScanData:
     positions_mm: np.ndarray
     counts: np.ndarray
     durations_s: np.ndarray
-    provenance: str = ""
 
     def __post_init__(self):
         pos = np.asarray(self.positions_mm, dtype=float)
@@ -110,11 +109,6 @@ class ScanData:
     @property
     def rates_cps(self):
         return self.counts / self.durations_s
-
-    @property
-    def rate_errors_cps(self):
-        """Poisson standard error of each rate (variance max(counts, 1))."""
-        return np.sqrt(np.maximum(self.counts, 1)) / self.durations_s
 
 
 def _tophat_weights(step, width):
@@ -229,12 +223,10 @@ def simulate_scan(
     if detector.poisson_noise:
         rng = np.random.default_rng(np.random.SeedSequence((int(seed), _SCAN_SEED_TAG)))
         counts = rng.poisson(expected)
-        prov = f"synthetic seed={int(seed)} mode={mode}"
     else:
         counts = np.rint(expected).astype(np.int64)
-        prov = f"synthetic noiseless mode={mode}"
     durations = np.full(positions.shape, float(detector.integration_time_s))
-    return ScanData(positions, counts, durations, provenance=prov)
+    return ScanData(positions, counts, durations)
 
 
 class ScanCSVError(ValueError):
@@ -313,11 +305,6 @@ def read_scan_csv(path):
     if not np.all(np.diff(positions) > 0):
         raise NonMonotonicPositionsError("positions must be strictly increasing")
     try:
-        return ScanData(
-            positions,
-            np.array(counts, dtype=np.int64),
-            np.array(durations),
-            provenance=f"ingested from {path}",
-        )
+        return ScanData(positions, np.array(counts, dtype=np.int64), np.array(durations))
     except ValueError as exc:
         raise ScanCSVError(str(exc)) from exc

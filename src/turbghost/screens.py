@@ -61,12 +61,10 @@ class TiltScreen:
 
 @dataclass(frozen=True)
 class GriddedScreen:
-    """Phase samples on a uniform grid, carrying generation parameters for audit."""
+    """Phase samples on a uniform grid of spacing ``spacing_mm``."""
 
     x_mm: np.ndarray
     phase_rad: np.ndarray
-    alpha: float
-    exponent: float
     spacing_mm: float
 
     def __post_init__(self):
@@ -132,18 +130,18 @@ def sample_powerlaw_screen(alpha, p, grid_mm, seed):
     if not np.allclose(spacing, spacing[0], rtol=1e-9, atol=0.0):
         raise ValueError("grid must be uniform")
     if alpha == 0.0:
-        return GriddedScreen(grid, np.zeros_like(grid), alpha, p, float(spacing[0]))
+        return GriddedScreen(grid, np.zeros_like(grid), float(spacing[0]))
     rng = np.random.default_rng(seed)
     if p == 2.0:
         slope = rng.standard_normal() * math.sqrt(alpha)
-        return GriddedScreen(grid, slope * grid, alpha, p, float(spacing[0]))
+        return GriddedScreen(grid, slope * grid, float(spacing[0]))
     f, S, df = _powerlaw_modes(alpha, p)
     amp = np.sqrt(S * df)
     a = rng.standard_normal(f.size)
     b = rng.standard_normal(f.size)
     arg = 2.0 * math.pi * np.outer(f, grid)
     phase = (amp * a) @ np.cos(arg) + (amp * b) @ np.sin(arg)
-    return GriddedScreen(grid, phase, alpha, p, float(spacing[0]))
+    return GriddedScreen(grid, phase, float(spacing[0]))
 
 
 @dataclass(frozen=True)
@@ -155,7 +153,6 @@ class ScreenEnsemble:
     """
 
     screens: tuple
-    master_seed: int
 
     def __len__(self):
         return len(self.screens)
@@ -171,7 +168,7 @@ class ScreenEnsemble:
         if n_screens < 1:
             raise ValueError("n_screens must be >= 1")
         slopes = tilt_slopes(alpha_per_mm2, n_screens, master_seed)
-        return cls(tuple(TiltScreen(float(a)) for a in slopes), int(master_seed))
+        return cls(tuple(TiltScreen(float(a)) for a in slopes))
 
     @classmethod
     def powerlaw(cls, alpha, p, grid_mm, n_screens, master_seed):
@@ -181,7 +178,7 @@ class ScreenEnsemble:
             sample_powerlaw_screen(alpha, p, grid_mm, screen_rng(master_seed, i))
             for i in range(n_screens)
         )
-        return cls(screens, int(master_seed))
+        return cls(screens)
 
 
 def tilt_slopes(alpha_per_mm2, n_screens, master_seed):
@@ -196,7 +193,6 @@ def tilt_slopes(alpha_per_mm2, n_screens, master_seed):
 
 @dataclass(frozen=True)
 class StructureFunctionEstimate:
-    separations_mm: np.ndarray
     values: np.ndarray
     standard_errors: np.ndarray
     valid: np.ndarray  # False where the separation is not representable
@@ -245,7 +241,7 @@ def estimate_structure_function(ensemble: ScreenEnsemble, separations_mm):
         valid[j] = True
         values[j] = per_screen.mean()
         errors[j] = per_screen.std(ddof=1) / math.sqrt(n) if n > 1 else 0.0
-    return StructureFunctionEstimate(seps, values, errors, valid)
+    return StructureFunctionEstimate(values, errors, valid)
 
 
 def mutual_coherence(alpha_per_mm2, dx_mm):

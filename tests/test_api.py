@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import turbghost
-from turbghost import config, engine, scan, screens
+from turbghost import campaign, config, engine, fitting, model, scan, screens
 from turbghost.model import AnalyticKernel, ObjectPattern, OpticsConfig, TurbulenceSpec
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(turbghost.__path__) if m.name != "__main__")
@@ -24,6 +24,15 @@ def _path():
 
 GRID = np.arange(16) * 0.05
 DET = scan.DetectorModel()
+X = np.linspace(-0.4, 0.4, 161)
+PROFILE = ObjectPattern().evaluate(X)
+K0 = ObjectPattern().fringe_wavenumber
+
+
+def _scan():
+    return scan.simulate_scan(_path(), 2.0, ObjectPattern(), DET, seed=1)
+
+
 REMOVED = {
     "ideal_resolution_mm": lambda: engine.KlyshkoPath(
         OpticsConfig(), TurbulenceSpec.crystal_side(2.0, 482.0), ideal_resolution_mm=1e-3),
@@ -51,6 +60,21 @@ REMOVED = {
     "image_arm_crystal_to_lens_mm": lambda: OpticsConfig(image_arm_crystal_to_lens_mm=1000.0),
     "object_arm_crystal_to_lens_mm": lambda: OpticsConfig(object_arm_crystal_to_lens_mm=1000.0),
     "lens_to_detector_mm": lambda: OpticsConfig(lens_to_detector_mm=1000.0),
+    "fit_profile(sigma)": lambda: fitting.fit_profile(X, PROFILE, sigma=np.ones_like(X)),
+    "fit_profile(init)": lambda: fitting.fit_profile(
+        X, PROFILE, init=fitting.initial_guess(X, PROFILE)),
+    "fit_scan(init)": lambda: fitting.fit_scan(
+        _scan(), init=fitting.initial_guess(X, PROFILE)),
+    "ScanData(provenance)": lambda: scan.ScanData(X, np.ones(X.size, dtype=int), np.ones(X.size),
+                                                  provenance=""),
+    "GriddedScreen(alpha, exponent)": lambda: screens.GriddedScreen(
+        x_mm=GRID, phase_rad=0.0 * GRID, spacing_mm=0.05, alpha=0.0, exponent=2.0),
+    "ScreenEnsemble(master_seed)": lambda: screens.ScreenEnsemble((), master_seed=0),
+    "StructureFunctionEstimate(separations_mm)": lambda: screens.StructureFunctionEstimate(
+        separations_mm=np.zeros(1), values=np.zeros(1), standard_errors=np.zeros(1),
+        valid=np.ones(1, dtype=bool)),
+    "curve_crossing(lo_mm)": lambda: campaign.curve_crossing(2.0, K0, lo_mm=50.0),
+    "curve_crossing(hi_mm)": lambda: campaign.curve_crossing(2.0, K0, hi_mm=329.0),
 }
 
 
@@ -59,3 +83,17 @@ def test_removed_setting_is_a_type_error(name):
     with pytest.raises(TypeError):
         REMOVED[name]()
 
+
+# Readers that nothing outside the tests used; each is gone from its owner.
+REMOVED_ATTRIBUTES = {
+    "ScanData.rate_errors_cps": lambda: _scan(),
+    "FitResult.visibility": lambda: fitting.fit_profile(X, PROFILE),
+    "FitResult.visibility_error": lambda: fitting.fit_profile(X, PROFILE),
+    "model.g2_kernel": lambda: model,
+}
+
+
+@pytest.mark.parametrize("name", sorted(REMOVED_ATTRIBUTES))
+def test_removed_attribute_is_gone(name):
+    owner = REMOVED_ATTRIBUTES[name]()
+    assert not hasattr(owner, name.rsplit(".", 1)[1])

@@ -240,7 +240,26 @@ class TestCLI:
         assert lines[1] == "offset_mm,value,stderr"
         stderr = np.array([float(ln.split(",")[2]) for ln in lines[2:]])
         assert stderr.size == 21
-        assert np.all(stderr >= 0.0)
+        assert np.all(stderr == 0.0)
+
+    @pytest.mark.parametrize("method", ["mc", "quadrature"])
+    def test_kernel_reads_wavelength(self, tmp_path, method):
+        # sigma = sqrt(alpha) d / k scales with the wavelength at a fixed seed.
+        sigmas = []
+        for nm in ("650", "800"):
+            out = tmp_path / f"kernel_{method}_{nm}.csv"
+            rc = main([
+                "kernel", "--method", method, "--n-realizations", "2000",
+                "--master-seed", "11", "--wavelength-nm", nm, "--output", str(out),
+            ])
+            assert rc == 0
+            sigmas.append(float(out.read_text().splitlines()[0].split("=")[1]))
+        assert sigmas[1] / sigmas[0] == pytest.approx(800.0 / 650.0, rel=1e-6)
+
+    def test_kernel_rejects_system_visibility(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["kernel", "--system-visibility", "0.5"])
+        assert exc.value.code == 2
 
     def test_bad_config_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -382,3 +401,15 @@ class TestIngestFixture:
         back = read_scan_csv(out)
         np.testing.assert_array_equal(back.positions_mm, data.positions_mm)
         np.testing.assert_array_equal(back.counts, data.counts)
+
+    def test_fixture_is_the_seeded_unshifted_scan(self):
+        # The fixture is exactly the unshifted path's scan at alpha 2,
+        # d 482 mm, default pattern and detector, seed 424242.
+        from turbghost.engine import KlyshkoPath
+        from turbghost.model import ObjectPattern, TurbulenceSpec
+        from turbghost.scan import DetectorModel, simulate_scan
+
+        path = KlyshkoPath(OpticsConfig(), TurbulenceSpec.crystal_side(2.0, 482.0))
+        data = simulate_scan(path, 2.0, ObjectPattern(), DetectorModel(), seed=424242)
+        with open(FIXTURE, "rb") as fh:
+            assert format_scan_csv(data).encode("ascii") == fh.read()

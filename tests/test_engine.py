@@ -97,7 +97,7 @@ class TestAmplitude:
         path = crystal_path(2.0, 482.0)
         a = 0.5
         grid = np.linspace(-30.0, 30.0, 20001)
-        gridded = GriddedScreen(grid, a * grid, 2.0, 2.0, grid[1] - grid[0])
+        gridded = GriddedScreen(grid, a * grid, grid[1] - grid[0])
         shift = -a * 482.0 / path.k
         x2 = shift + np.linspace(-0.002, 0.002, 81)
         tilt_amp = np.array(
@@ -113,7 +113,7 @@ class TestAmplitude:
 
         path = crystal_path(2.0, 482.0)
         grid = np.linspace(-0.5, 0.5, 101)  # far narrower than the quadrature span
-        screen = GriddedScreen(grid, 0.0 * grid, 0.0, 2.0, grid[1] - grid[0])
+        screen = GriddedScreen(grid, 0.0 * grid, grid[1] - grid[0])
         with pytest.raises(ValueError):
             klyshko_amplitude(0.0, 0.0, screen, path)
 
@@ -193,14 +193,13 @@ class TestQuadratureG2:
     @staticmethod
     def direct_lag_sums(path, alpha, offsets):
         # The quadratic form summed lag by lag on the turbulence grid, one
-        # np.vdot per (offset, lag): every lag (stride 1) and even lags only
-        # (stride 2, doubled weight).
+        # np.vdot per (offset, lag).
         xt, dx = engine._turbulence_grid(path, 4.5 / math.sqrt(alpha))
         pre = engine._prefield(xt, 0.0, path)
         n, m_max = xt.size, int(4.5 / math.sqrt(alpha) / dx)
         flat = path.shift_mm == 0.0
         d = path.effective_distance_mm
-        s1, s2 = np.zeros(offsets.size), np.zeros(offsets.size)
+        s1 = np.zeros(offsets.size)
         for j, x2 in enumerate(offsets):
             field = np.exp(-1j * path.k * (x2 - xt) ** 2 / (2.0 * d)) * pre
             for m in range(m_max + 1):
@@ -211,19 +210,16 @@ class TestQuadratureG2:
                 diag *= 1.0 / (n - m) if flat else dx
                 term = math.exp(-alpha * (m * dx) ** 2 / 2.0) * diag * dx
                 s1[j] += term
-                if m % 2 == 0:
-                    s2[j] += 2.0 * term
-        return n, s1, s2
+        return n, s1
 
     @pytest.mark.parametrize("d,shift,ws", [(482.0, 0.0, 4.0), (152.0, 330.0, 0.5)])
     def test_matches_direct_lag_sum(self, d, shift, ws):
         path = crystal_path(2.0, d, shift=shift, ws=ws)
         kern = quadrature_g2(path, 2.0)
-        n, s1, s2 = self.direct_lag_sums(path, 2.0, kern.offsets_mm)
+        n, s1 = self.direct_lag_sums(path, 2.0, kern.offsets_mm)
         assert 1000 <= n <= 3000
-        peak = s1.max()
-        np.testing.assert_allclose(kern.values, s1 / peak, rtol=0, atol=1e-9)
-        np.testing.assert_allclose(kern.standard_errors, np.abs(s1 - s2) / peak, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(kern.values, s1 / s1.max(), rtol=0, atol=1e-9)
+        np.testing.assert_array_equal(kern.standard_errors, 0.0)
 
     @pytest.mark.parametrize("alpha,d,shift,ws", [(2.0, 482.0, 0.0, 4.0), (2.0, 152.0, 330.0, 12.0)])
     def test_three_routes_pairwise_agreement(self, alpha, d, shift, ws):

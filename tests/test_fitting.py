@@ -63,9 +63,8 @@ class TestFitProfile:
 
     def test_fringe_free_recovers_zero_visibility(self):
         x = np.linspace(-0.4, 0.4, 161)
-        flat = ScanFitModel(50.0, 0.0, 0.4, K0, 0.0, 1e-12, 2.0)
         y = 2.0 + 50.0 * np.exp(-0.5 * (x / 0.4) ** 2)
-        result = fit_profile(x, y, init=flat)
+        result = fit_profile(x, y)
         assert result.converged
         assert result.model.visibility == pytest.approx(0.0, abs=1e-6)
 
@@ -122,7 +121,7 @@ class TestFitScan:
         counts = np.rint(model.evaluate(x) * 100).astype(np.int64)
         data = ScanData(x, counts, np.full_like(x, 100.0))
         with pytest.raises(ValueError):
-            fit_scan(data, init=model)
+            fit_scan(data)
 
     def test_count_scale_absorbed_by_amplitude(self):
         # Scaling counts at fixed dwell multiplies the rate, so the fitted

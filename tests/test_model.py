@@ -16,8 +16,8 @@ from turbghost.model import (
     effective_distance,
     fringe_visibility,
     fringe_wavenumber_from_cycles,
-    g2_kernel,
     ghost_image_profile,
+    kernel_from_turbulence,
     kernel_sigma,
     validity_ratio,
     wavenumber,
@@ -120,36 +120,40 @@ class TestEffectiveDistance:
 
 
 class TestG2Kernel:
+    KERNEL = kernel_from_turbulence(2.0, 482.0, K_650)
+
     def test_peak(self):
-        assert g2_kernel(0.0, 2.0, 482.0, K_650) == 1.0
+        assert self.KERNEL.value(0.0) == 1.0
 
     def test_one_over_e_point(self):
         # Solve k^2 dx^2 / (2 alpha d^2) = 1: dx = sqrt(2 alpha) d / k.
         dx = math.sqrt(2.0 * 2.0) * 482.0 / K_650
         assert dx == pytest.approx(0.0997264873413816, rel=1e-12)
-        assert g2_kernel(dx, 2.0, 482.0, K_650) == pytest.approx(math.exp(-1.0), rel=1e-12)
+        assert self.KERNEL.value(dx) == pytest.approx(math.exp(-1.0), rel=1e-12)
 
     def test_sigma_formula(self):
         sigma = kernel_sigma(2.0, 482.0, K_650)
         assert sigma == pytest.approx(0.07051727546300533, rel=1e-12)
-        assert g2_kernel(sigma, 2.0, 482.0, K_650) == pytest.approx(math.exp(-0.5), rel=1e-12)
+        assert self.KERNEL.value(sigma) == pytest.approx(math.exp(-0.5), rel=1e-12)
 
     @given(st.floats(-1.0, 1.0, allow_nan=False))
     def test_even_and_bounded(self, dx):
-        v = g2_kernel(dx, 2.0, 482.0, K_650)
-        assert v == g2_kernel(-dx, 2.0, 482.0, K_650)
+        v = self.KERNEL.value(dx)
+        assert v == self.KERNEL.value(-dx)
         assert 0.0 < v <= 1.0
         if abs(dx) > 1e-6:  # strictly below peak once representable in float
             assert v < 1.0
 
     @pytest.mark.parametrize("alpha,d", [(0.0, 482.0), (2.0, 0.0)])
     def test_degenerate_is_ideal(self, alpha, d):
-        assert g2_kernel(0.0, alpha, d, K_650) == 1.0
-        assert g2_kernel(0.01, alpha, d, K_650) == 0.0
+        kernel = kernel_from_turbulence(alpha, d, K_650)
+        assert kernel.ideal
+        assert kernel.value(0.0) == 1.0
+        assert kernel.value(0.01) == 0.0
 
     def test_vectorized(self):
         dx = np.array([-0.1, 0.0, 0.1])
-        v = g2_kernel(dx, 2.0, 482.0, K_650)
+        v = self.KERNEL.value(dx)
         assert v.shape == (3,)
         assert v[0] == v[2]
 

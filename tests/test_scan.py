@@ -62,7 +62,6 @@ class TestScanData:
     def test_rates_and_errors(self):
         data = ScanData(np.array([0.0, 1.0]), np.array([0, 16]), np.array([4.0, 4.0]))
         np.testing.assert_allclose(data.rates_cps, [0.0, 4.0])
-        np.testing.assert_allclose(data.rate_errors_cps, [0.25, 1.0])
 
     def test_validation(self):
         with pytest.raises(ValueError):

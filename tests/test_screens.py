@@ -94,7 +94,7 @@ class TestStructureFunction:
 
     def test_flat_screen_gives_zero(self):
         grid = np.linspace(0.0, 3.0, 61)
-        ens = ScreenEnsemble((GriddedScreen(grid, np.zeros_like(grid), 0.0, 2.0, 0.05),), 0)
+        ens = ScreenEnsemble((GriddedScreen(grid, np.zeros_like(grid), 0.05),))
         est = estimate_structure_function(ens, [0.05, 0.5, 1.0])
         np.testing.assert_array_equal(est.values, 0.0)
 
@@ -108,7 +108,7 @@ class TestStructureFunction:
 
     def test_empty_ensemble_rejected(self):
         with pytest.raises(ValueError):
-            estimate_structure_function(ScreenEnsemble((), 0), [0.1])
+            estimate_structure_function(ScreenEnsemble(()), [0.1])
 
 
 class TestPowerlawScreens:
