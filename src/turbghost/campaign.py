@@ -127,18 +127,15 @@ def simulate_point(config: ExperimentConfig, index):
         raise ConfigValueError(
             f"sweep index {index} outside [0, {len(config.sweep)}) for this config"
         )
-    spec = config.sweep[index]
-    path = KlyshkoPath(config.optics, spec, source_width_mm=config.engine.source_width_mm)
-    return simulate_scan(
-        path,
-        spec.alpha_per_mm2,
-        config.pattern,
-        config.detector,
-        seed=point_seed(config.engine.master_seed, index),
-        n_positions=config.engine.scan_points,
-        center_mm=config.engine.scan_center_mm,
-        mode=config.engine.mode,
-    )
+    return _scan(config, config.sweep[index], point_seed(config.engine.master_seed, index))
+
+
+def _scan(config: ExperimentConfig, spec: TurbulenceSpec, seed):
+    """Seeded scan of ``spec`` under the config's optics, pattern, detector and engine."""
+    eng = config.engine
+    path = KlyshkoPath(config.optics, spec, source_width_mm=eng.source_width_mm)
+    return simulate_scan(path, spec.alpha_per_mm2, config.pattern, config.detector, seed=seed,
+                         n_positions=eng.scan_points, center_mm=eng.scan_center_mm, mode=eng.mode)
 
 
 def _run_point(config: ExperimentConfig, index, spec: TurbulenceSpec):
@@ -275,10 +272,11 @@ def reproduce_figure(which, out_dir, master_seed=20260809):
     """Emit the model-curve (and for fig3, synthetic-scan) CSV data files.
 
     Every figure is drawn from the two bundled paper setups: their optics,
-    pattern, detector, scan length and the alpha of their first sweep point.
-    fig3: representative scans for both configurations with no turbulence,
-    object-side turbulence (229 mm unshifted / 203 mm shifted from the
-    object) and crystal-side turbulence 432 mm from the crystal.
+    pattern, detector, engine scan settings and the alpha of their first
+    sweep point.  fig3: representative scans for both configurations with
+    no turbulence, object-side turbulence (229 mm unshifted / 203 mm
+    shifted from the object) and crystal-side turbulence 432 mm from the
+    crystal, each built as ``simulate_point`` builds a sweep point.
     fig4: visibility vs turbulence-to-object distance, both configurations.
     fig5: visibility vs crystal-to-turbulence distance, both
     configurations, plus the central-image-plane marker and curve crossing.
@@ -328,20 +326,11 @@ def reproduce_figure(which, out_dir, master_seed=20260809):
                 scenarios.append((f"fig3_{cfg.label}_{tag}", cfg, spec))
         for i, (name, cfg, spec) in enumerate(scenarios):
             seed = point_seed(master_seed, i)
-            path_obj = KlyshkoPath(cfg.optics, spec, source_width_mm=cfg.engine.source_width_mm)
-            data = simulate_scan(
-                path_obj,
-                spec.alpha_per_mm2,
-                cfg.pattern,
-                cfg.detector,
-                seed=seed,
-                n_positions=cfg.engine.scan_points,
-            )
             path = os.path.join(out_dir, f"{name}.csv")
             with open(path, "w", encoding="ascii") as fh:
                 fh.write(f"# synthetic scan: {name}, seed={seed}\n")
                 fh.write("# peak coincidence rate is an invented default, not a measured value\n")
-                fh.write(format_scan_csv(data))
+                fh.write(format_scan_csv(_scan(cfg, spec, seed)))
             written.append(path)
 
     return written

@@ -99,13 +99,17 @@ def _cmd_analytic(args):
     return EXIT_OK
 
 
-def _make_path(args):
-    optics = OpticsConfig(wavelength_nm=args.wavelength_nm, shift_mm=args.shift_mm)
-    spec = TurbulenceSpec.crystal_side(args.alpha_per_mm2, args.effective_distance_mm + args.shift_mm)
-    return KlyshkoPath(optics, spec, source_width_mm=args.source_width_mm)
+# kernel flags that one method reads: name -> (that method, default).
+_KERNEL_FLAGS = {"shift_mm": ("quadrature", 0.0), "source_width_mm": ("quadrature", 4.0),
+                 "n_realizations": ("mc", 10000), "master_seed": ("mc", 20260809)}
 
 
 def _cmd_kernel(args):
+    for name, (reader, default) in _KERNEL_FLAGS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+        elif args.method != reader:
+            raise ConfigError(f"--{name.replace('_', '-')} is read only by --method {reader}")
     if args.method == "analytic":
         k = wavenumber(wavelength_nm=args.wavelength_nm)
         kernel = kernel_from_turbulence(args.alpha_per_mm2, args.effective_distance_mm, k)
@@ -116,7 +120,9 @@ def _cmd_kernel(args):
         vals = kernel.value(dx)
         errs = np.zeros_like(vals)
     else:
-        path = _make_path(args)
+        optics = OpticsConfig(wavelength_nm=args.wavelength_nm, shift_mm=args.shift_mm)
+        spec = TurbulenceSpec.crystal_side(args.alpha_per_mm2, args.effective_distance_mm + args.shift_mm)
+        path = KlyshkoPath(optics, spec, source_width_mm=args.source_width_mm)
         if args.method == "mc":
             kernel = monte_carlo_g2(
                 path, args.alpha_per_mm2, args.n_realizations, args.master_seed
@@ -205,10 +211,9 @@ def build_parser():
 
     p = sub.add_parser("kernel", parents=[common_phys], help="tabulate the coincidence kernel")
     p.add_argument("--method", choices=("analytic", "mc", "quadrature"), default="analytic")
-    p.add_argument("--shift-mm", type=float, default=0.0)
-    p.add_argument("--source-width-mm", type=float, default=4.0)
-    p.add_argument("--n-realizations", type=int, default=10000)
-    p.add_argument("--master-seed", type=int, default=20260809)
+    for name, (reader, default) in _KERNEL_FLAGS.items():
+        p.add_argument("--" + name.replace("_", "-"), type=type(default), default=None,
+                       help=f"--method {reader} only (default {default})")
     p.set_defaults(func=_cmd_kernel)
 
     common_cfg = argparse.ArgumentParser(add_help=False)

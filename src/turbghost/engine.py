@@ -131,6 +131,13 @@ class KlyshkoPath:
         return abs(self.shift_mm) / (math.sqrt(2.0) * self.k * self.source_width_mm)
 
 
+def _check_alpha(path: KlyshkoPath, alpha_per_mm2):
+    """Refuse an ``alpha_per_mm2`` argument that disagrees with the path's own."""
+    own = path.turbulence.alpha_per_mm2
+    if alpha_per_mm2 != own:
+        raise ValueError(f"alpha_per_mm2={alpha_per_mm2} disagrees with the path's alpha {own}")
+
+
 def _source_integral(xt, x1, l1, delta, ws, k):
     """Closed form of int dx_s S(x_s) e^{ik(x_t-x_s)^2/2l1} e^{-ik(x_s-x1)^2/2delta}.
 
@@ -164,6 +171,8 @@ def _turbulence_grid(path: KlyshkoPath, u_max):
     Fresnel fringe (pi * d_min / (4 k x_max)), span covering the source
     envelope's geometric footprint plus the coherence range."""
     d = abs(path.effective_distance_mm)
+    if d < 1e-12:
+        raise ValueError("quadrature undefined at zero effective distance (ideal kernel)")
     delta = abs(path.shift_mm)
     l1 = path.l1_eff_mm
     if delta < 1e-12:
@@ -184,31 +193,36 @@ def klyshko_amplitude(x1, x2, screen, path: KlyshkoPath):
     turbulence plane displaces the ideal point-spread amplitude to
     x2 - x1 = -a d / k (verified against direct quadrature of the folded
     kernels).  Gridded screens go through the full quadrature.  Global
-    phases are dropped; only |A|^2 is physical.
+    phases are dropped; only |A|^2 is physical.  ``x2`` is a scalar
+    (giving a ``complex``) or an array (giving a complex array).
     """
     if isinstance(screen, TiltScreen):
-        d = path.effective_distance_mm
-        shift = -screen.slope_rad_per_mm * d / path.k
-        sigma = path.psf_sigma_mm
-        dx = (x2 - x1) - shift
-        return complex(math.exp(-(dx**2) / (4.0 * sigma**2)))
+        shift = -screen.slope_rad_per_mm * path.effective_distance_mm / path.k
+        dx = (np.asarray(x2, dtype=float) - x1) - shift
+        amp = np.exp(-(dx**2) / (4.0 * path.psf_sigma_mm**2)) + 0j
+        return complex(amp) if amp.ndim == 0 else amp
     return klyshko_amplitude_quadrature(x1, x2, screen, path)
 
 
 def klyshko_amplitude_quadrature(x1, x2, screen, path: KlyshkoPath):
     """Direct quadrature of the folded kernels for one screen realization,
-    on the turbulence-plane grid of ``_turbulence_grid``."""
+    on the turbulence-plane grid of ``_turbulence_grid``.  h = exp(i phi) P
+    is built once per call; each x2 (a scalar, giving a ``complex``, or an
+    array) is then one dot product of h with exp(-i k (x2 - x_t)^2 / (2 d))."""
     xt, dx = _turbulence_grid(path, u_max=2.0)
-    d = path.effective_distance_mm
-    if abs(d) < 1e-12:
-        raise ValueError("quadrature undefined at zero effective distance (ideal kernel)")
     phase = screen.phase(xt)
-    field = (
-        np.exp(-1j * path.k * (x2 - xt) ** 2 / (2.0 * d))
-        * np.exp(1j * phase)
-        * _prefield(xt, x1, path)
-    )
-    return complex(np.sum(field) * dx)
+    h = np.empty(xt.shape, dtype=complex)
+    np.cos(phase, out=h.real)
+    np.sin(phase, out=h.imag)
+    h *= _prefield(xt, x1, path)
+    out, chirp, kernel = np.empty(np.shape(x2), dtype=complex), np.empty_like(xt), np.empty_like(h)
+    for i, x in np.ndenumerate(np.asarray(x2, dtype=float)):
+        np.square(np.subtract(x, xt, out=chirp), out=chirp)
+        chirp *= -path.k / (2.0 * path.effective_distance_mm)
+        np.cos(chirp, out=kernel.real)
+        np.sin(chirp, out=kernel.imag)
+        out[i] = np.dot(kernel, h) * dx
+    return complex(out) if out.ndim == 0 else out
 
 
 def monte_carlo_g2(path: KlyshkoPath, alpha_per_mm2, n_screens, master_seed):
@@ -218,13 +232,13 @@ def monte_carlo_g2(path: KlyshkoPath, alpha_per_mm2, n_screens, master_seed):
     kernel in the separation x2 - x1 is the histogram of those
     displacements in ``MC_BINS`` bins over 8 times their spread (integer
     counts, so accumulation order cannot change the result).  Values are
-    peak-normalized with Poisson per-bin standard errors.  With no turbulence every displacement is zero and
-    all mass lands in the central resolution bin.
+    peak-normalized with Poisson per-bin standard errors.  With no
+    turbulence every displacement is zero and all mass lands in the
+    central resolution bin.  ``alpha_per_mm2`` must equal the path's.
     """
     if n_screens < 2:
         raise ValueError("n_screens must be >= 2")
-    if alpha_per_mm2 < 0:
-        raise ValueError("alpha_per_mm2 must be >= 0")
+    _check_alpha(path, alpha_per_mm2)
     d = path.effective_distance_mm
     displacements = -tilt_slopes(alpha_per_mm2, n_screens, master_seed) * d / path.k
     span_mm = 8.0 * max(float(displacements.std()), MC_RESOLUTION_FLOOR_MM)
@@ -264,14 +278,14 @@ def quadrature_g2(path: KlyshkoPath, alpha_per_mm2):
     ``standard_errors`` are zero and a width fit weighs every offset
     equally.  The offsets are ``QUADRATURE_OFFSETS`` points across
     +-``QUADRATURE_SPAN_SIGMAS`` closed-form kernel widths.
+    ``alpha_per_mm2`` must equal the path's.
     """
     from scipy.fft import next_fast_len
 
+    _check_alpha(path, alpha_per_mm2)
     if alpha_per_mm2 <= 0:
         raise ValueError("quadrature average needs alpha > 0; use the ideal kernel otherwise")
     d = path.effective_distance_mm
-    if abs(d) < 1e-12:
-        raise ValueError("quadrature undefined at zero effective distance (ideal kernel)")
     half_span = QUADRATURE_SPAN_SIGMAS * kernel_sigma(alpha_per_mm2, d, path.k)
     offsets = np.linspace(-half_span, half_span, QUADRATURE_OFFSETS)
     u_max = 4.5 / math.sqrt(alpha_per_mm2)
@@ -344,7 +358,6 @@ class ImageProfile:
 
     positions_mm: np.ndarray
     values: np.ndarray
-    truncation_warning: bool = False
 
 
 def synthesize_image(kernel, pattern: ObjectPattern, positions_mm=None):
@@ -352,9 +365,7 @@ def synthesize_image(kernel, pattern: ObjectPattern, positions_mm=None):
 
     The kernel is normalized as a density so an ideal kernel returns the
     object exactly and fitting the result against the fringe model is
-    well-posed.  The default grid spans 8 envelope widths; if the
-    requested grid leaves more than 0.1% of the object's transmitted
-    energy outside, the profile is flagged truncated.
+    well-posed.  The default grid spans 8 envelope widths.
     """
     w = pattern.envelope_width_mm
     period = 2.0 * math.pi / pattern.fringe_wavenumber
@@ -370,16 +381,9 @@ def synthesize_image(kernel, pattern: ObjectPattern, positions_mm=None):
         n = int(math.ceil(2.0 * half / dx_mm)) | 1
         positions_mm = (np.arange(n) - n // 2) * dx_mm
     positions = np.asarray(positions_mm, dtype=float)
-    # Transmitted-energy fraction outside the grid (Gaussian envelope mass).
-    from scipy.special import erf
-
-    lo, hi = positions[0], positions[-1]
-    inside = 0.5 * (erf(hi / (math.sqrt(2.0) * w)) - erf(lo / (math.sqrt(2.0) * w)))
-    truncated = (1.0 - inside) > 1e-3
-
     if isinstance(kernel, AnalyticKernel) and kernel.ideal:
         values = pattern.evaluate(positions)
-        return ImageProfile(positions, values, truncated)
+        return ImageProfile(positions, values)
 
     step = positions[1] - positions[0]
     if not np.allclose(np.diff(positions), step, rtol=1e-9, atol=0.0):
@@ -399,4 +403,4 @@ def synthesize_image(kernel, pattern: ObjectPattern, positions_mm=None):
     )
     obj = pattern.evaluate(x_ext)
     values = np.convolve(obj, kv, mode="valid") * step
-    return ImageProfile(positions, values, truncated)
+    return ImageProfile(positions, values)

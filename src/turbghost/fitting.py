@@ -77,11 +77,7 @@ class ScanFitModel:
 
     def evaluate(self, x):
         """Model rate (counts/s) at position x (mm)."""
-        x = np.asarray(x, dtype=float)
-        u = x - self.center_mm
-        env = np.exp(-0.5 * (u / self.envelope_width_mm) ** 2)
-        fringe = 1.0 + self.visibility * np.cos(self.fringe_wavenumber * u + self.fringe_phase_rad)
-        out = self.background_cps + self.amplitude_cps * env * fringe
+        out = _evaluate_vector(self.to_vector(), np.asarray(x, dtype=float))
         return out if out.ndim else float(out)
 
     def to_vector(self):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .engine import ImageProfile, KlyshkoPath, synthesize_image
+from .engine import ImageProfile, KlyshkoPath, _check_alpha, synthesize_image
 from .model import (
     ObjectPattern,
     fringe_visibility,
@@ -158,7 +158,9 @@ def expected_scan_rates(
     closed-form image and always take the kernel route.  The slit
     top-hat is applied on a fine grid, and the result is scaled so the
     profile peak sits at the detector's peak rate, plus the background.
+    ``alpha_per_mm2`` must equal the path's.
     """
+    _check_alpha(path, alpha_per_mm2)
     positions = np.asarray(positions_mm, dtype=float)
     w = pattern.envelope_width_mm
     period = 2.0 * math.pi / pattern.fringe_wavenumber

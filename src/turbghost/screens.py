@@ -13,7 +13,8 @@ Reproducibility contract: the screen at (master_seed, index) is a pure
 function of those two integers.  Per-screen generators are seeded with
 ``numpy.random.SeedSequence((master_seed, index))``, so ensembles can be
 generated in any order, in chunks, or in parallel and always agree
-bit-for-bit.
+bit-for-bit.  A power-law ensemble builds its spectral basis once and
+shares it, so its screen i equals the single screen drawn from the same seed.
 """
 
 from __future__ import annotations
@@ -119,6 +120,13 @@ def sample_powerlaw_screen(alpha, p, grid_mm, seed):
     ``alpha r^p`` is limited by the outer-scale window, which matters most
     for exponents near 2 (infrared-heavy spectra).
     """
+    return _powerlaw_screens(alpha, p, grid_mm, [np.random.default_rng(seed)])[0]
+
+
+def _powerlaw_screens(alpha, p, grid_mm, rngs):
+    """One screen per generator in ``rngs``: (alpha, p, grid) are checked and the
+    spectral basis (amp, mode-by-grid cos and sin) built once, then each screen
+    draws its own mode weights a, b and forms (amp a) @ cos + (amp b) @ sin."""
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
     if not 0.0 < p <= 2.0:
@@ -130,18 +138,17 @@ def sample_powerlaw_screen(alpha, p, grid_mm, seed):
     if not np.allclose(spacing, spacing[0], rtol=1e-9, atol=0.0):
         raise ValueError("grid must be uniform")
     if alpha == 0.0:
-        return GriddedScreen(grid, np.zeros_like(grid), float(spacing[0]))
-    rng = np.random.default_rng(seed)
-    if p == 2.0:
-        slope = rng.standard_normal() * math.sqrt(alpha)
-        return GriddedScreen(grid, slope * grid, float(spacing[0]))
-    f, S, df = _powerlaw_modes(alpha, p)
-    amp = np.sqrt(S * df)
-    a = rng.standard_normal(f.size)
-    b = rng.standard_normal(f.size)
-    arg = 2.0 * math.pi * np.outer(f, grid)
-    phase = (amp * a) @ np.cos(arg) + (amp * b) @ np.sin(arg)
-    return GriddedScreen(grid, phase, float(spacing[0]))
+        phases = (np.zeros_like(grid) for _ in rngs)
+    elif p == 2.0:
+        phases = (rng.standard_normal() * math.sqrt(alpha) * grid for rng in rngs)
+    else:
+        f, S, df = _powerlaw_modes(alpha, p)
+        amp = np.sqrt(S * df)
+        arg = 2.0 * math.pi * np.outer(f, grid)
+        cos, sin = np.cos(arg), np.sin(arg)
+        phases = ((amp * rng.standard_normal(f.size)) @ cos
+                  + (amp * rng.standard_normal(f.size)) @ sin for rng in rngs)
+    return tuple(GriddedScreen(grid, phase, float(spacing[0])) for phase in phases)
 
 
 @dataclass(frozen=True)
@@ -174,11 +181,8 @@ class ScreenEnsemble:
     def powerlaw(cls, alpha, p, grid_mm, n_screens, master_seed):
         if n_screens < 1:
             raise ValueError("n_screens must be >= 1")
-        screens = tuple(
-            sample_powerlaw_screen(alpha, p, grid_mm, screen_rng(master_seed, i))
-            for i in range(n_screens)
-        )
-        return cls(screens)
+        rngs = (screen_rng(master_seed, i) for i in range(n_screens))
+        return cls(_powerlaw_screens(alpha, p, grid_mm, rngs))
 
 
 def tilt_slopes(alpha_per_mm2, n_screens, master_seed):
@@ -206,38 +210,37 @@ def estimate_structure_function(ensemble: ScreenEnsemble, separations_mm):
     screens the separation is snapped to the nearest whole number of grid
     steps (within 1e-6 mm) and averaged over all in-support pairs; a
     separation off the lattice or beyond the span is marked invalid rather
-    than failing the whole estimate.
+    than failing the whole estimate.  The ensemble must be all tilt screens
+    or all gridded screens on one grid (``ValueError`` otherwise).
     """
-    if len(ensemble) == 0:
+    screens = tuple(ensemble)
+    if not screens:
         raise ValueError("ensemble is empty")
+    n, first = len(screens), screens[0]
+    tilt = isinstance(first, TiltScreen)
+    if any(isinstance(s, TiltScreen) != tilt for s in screens) or not tilt and any(
+        s.spacing_mm != first.spacing_mm or not np.array_equal(s.x_mm, first.x_mm) for s in screens
+    ):
+        raise ValueError("ensemble must be all tilt screens or all gridded screens on one grid")
+    if tilt:
+        slopes = [s.slope_rad_per_mm for s in screens]
+    else:
+        phases = np.stack([s.phase_rad for s in screens])
+        step, size = first.spacing_mm, first.x_mm.size
     seps = np.atleast_1d(np.asarray(separations_mm, dtype=float))
     values = np.full(seps.shape, np.nan)
     errors = np.full(seps.shape, np.nan)
     valid = np.zeros(seps.shape, dtype=bool)
-    n = len(ensemble)
     for j, r in enumerate(seps):
-        r = abs(r)  # D is even in the separation
-        per_screen = np.empty(n)
-        ok = True
-        for i, screen in enumerate(ensemble):
-            if isinstance(screen, TiltScreen):
-                per_screen[i] = (screen.slope_rad_per_mm * r) ** 2
-            else:
-                lag_f = r / screen.spacing_mm
-                lag = int(round(lag_f))
-                if abs(lag_f - lag) * screen.spacing_mm > 1e-6:
-                    ok = False
-                    break
-                if lag >= screen.x_mm.size:
-                    ok = False
-                    break
-                if lag == 0:
-                    per_screen[i] = 0.0
-                else:
-                    diff = screen.phase_rad[lag:] - screen.phase_rad[:-lag]
-                    per_screen[i] = np.mean(diff**2)
-        if not ok:
-            continue
+        r = abs(float(r))  # D is even in the separation
+        if tilt:
+            # Python's float power: numpy's square can differ in a sample's last bit.
+            per_screen = np.array([(a * r) ** 2 for a in slopes])
+        else:
+            lag = int(round(r / step))
+            if abs(r / step - lag) * step > 1e-6 or lag >= size:
+                continue
+            per_screen = np.mean((phases[:, lag:] - phases[:, : size - lag]) ** 2, axis=1)
         valid[j] = True
         values[j] = per_screen.mean()
         errors[j] = per_screen.std(ddof=1) / math.sqrt(n) if n > 1 else 0.0

@@ -90,6 +90,9 @@ REMOVED_ATTRIBUTES = {
     "FitResult.visibility": lambda: fitting.fit_profile(X, PROFILE),
     "FitResult.visibility_error": lambda: fitting.fit_profile(X, PROFILE),
     "model.g2_kernel": lambda: model,
+    "ImageProfile.truncation_warning": lambda: engine.synthesize_image(
+        AnalyticKernel(0.0), ObjectPattern()
+    ),
 }
 
 

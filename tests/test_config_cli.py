@@ -245,16 +245,31 @@ class TestCLI:
     @pytest.mark.parametrize("method", ["mc", "quadrature"])
     def test_kernel_reads_wavelength(self, tmp_path, method):
         # sigma = sqrt(alpha) d / k scales with the wavelength at a fixed seed.
+        seeded = ["--n-realizations", "2000", "--master-seed", "11"] if method == "mc" else []
         sigmas = []
         for nm in ("650", "800"):
             out = tmp_path / f"kernel_{method}_{nm}.csv"
             rc = main([
-                "kernel", "--method", method, "--n-realizations", "2000",
-                "--master-seed", "11", "--wavelength-nm", nm, "--output", str(out),
+                "kernel", "--method", method, *seeded, "--wavelength-nm", nm, "--output", str(out),
             ])
             assert rc == 0
             sigmas.append(float(out.read_text().splitlines()[0].split("=")[1]))
         assert sigmas[1] / sigmas[0] == pytest.approx(800.0 / 650.0, rel=1e-6)
+
+    @pytest.mark.parametrize("method, flag, value", [
+        ("analytic", "--shift-mm", "330"),
+        ("analytic", "--source-width-mm", "12"),
+        ("analytic", "--n-realizations", "50"),
+        ("analytic", "--master-seed", "5"),
+        ("mc", "--shift-mm", "330"),
+        ("mc", "--source-width-mm", "12"),
+        ("quadrature", "--n-realizations", "50"),
+        ("quadrature", "--master-seed", "5"),
+    ])
+    def test_kernel_refuses_flag_its_method_ignores(self, capsys, method, flag, value):
+        assert main(["kernel", "--method", method, flag, value]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and flag in err
 
     def test_kernel_rejects_system_visibility(self, capsys):
         with pytest.raises(SystemExit) as exc:

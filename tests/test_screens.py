@@ -6,6 +6,7 @@ import pytest
 from turbghost.screens import (
     GriddedScreen,
     ScreenEnsemble,
+    TiltScreen,
     estimate_structure_function,
     mutual_coherence,
     sample_powerlaw_screen,
@@ -110,6 +111,49 @@ class TestStructureFunction:
         with pytest.raises(ValueError):
             estimate_structure_function(ScreenEnsemble(()), [0.1])
 
+    @staticmethod
+    def per_screen_loop(ensemble, separations):
+        # Reference: one sample per (separation, screen), as a plain loop.
+        n = len(ensemble)
+        values, errors = [], []
+        for r in np.abs(np.asarray(separations, dtype=float)):
+            samples = np.empty(n)
+            for i, screen in enumerate(ensemble):
+                if isinstance(screen, TiltScreen):
+                    samples[i] = (screen.slope_rad_per_mm * r) ** 2
+                else:
+                    lag = int(round(r / screen.spacing_mm))
+                    diff = screen.phase_rad[lag:] - screen.phase_rad[: screen.x_mm.size - lag]
+                    samples[i] = np.mean(diff**2)
+            values.append(samples.mean())
+            errors.append(samples.std(ddof=1) / math.sqrt(n))
+        return np.array(values), np.array(errors)
+
+    @pytest.mark.parametrize("kind, master", [("tilt", 61), ("tilt", 41), ("powerlaw", 5)])
+    def test_matches_per_screen_loop_bit_for_bit(self, kind, master):
+        # Tilt masters 61 and 41 at 50 screens are cases where squaring the
+        # slope array with numpy changes the mean or its standard error.
+        seps = [0.05, 0.1, -0.2, 0.5, 0.0]
+        if kind == "tilt":
+            ens = ScreenEnsemble.tilts(1.3, 50, master)
+        else:
+            ens = ScreenEnsemble.powerlaw(1.3, 5 / 3, np.arange(256) * 0.0125, 40, master)
+        est = estimate_structure_function(ens, seps)
+        values, errors = self.per_screen_loop(ens, seps)
+        assert est.valid.all()
+        np.testing.assert_array_equal(est.values, values)
+        np.testing.assert_array_equal(est.standard_errors, errors)
+
+    @pytest.mark.parametrize("mix", ["tilt_and_gridded", "two_grids"])
+    def test_mixed_ensemble_rejected(self, mix):
+        grid = np.arange(64) * 0.05
+        first = GriddedScreen(grid, 0.3 * grid, 0.05)
+        other = TiltScreen(0.3) if mix == "tilt_and_gridded" else GriddedScreen(
+            grid + 1.0, 0.3 * grid, 0.05)
+        for screens in ((first, other), (other, first)):
+            with pytest.raises(ValueError):
+                estimate_structure_function(ScreenEnsemble(screens), [0.1])
+
 
 class TestPowerlawScreens:
     def test_zero_alpha_flat(self):
@@ -154,4 +198,14 @@ class TestPowerlawScreens:
         a = sample_powerlaw_screen(1.0, 5 / 3, grid, np.random.SeedSequence((9, 4)))
         b = sample_powerlaw_screen(1.0, 5 / 3, grid, np.random.SeedSequence((9, 4)))
         np.testing.assert_array_equal(a.phase_rad, b.phase_rad)
+
+    @pytest.mark.parametrize("p", [5 / 3, 2.0])
+    def test_ensemble_member_is_the_single_screen(self, p):
+        # Screen i of an ensemble is the single screen drawn from
+        # SeedSequence((master, i)), bit for bit.
+        grid = np.arange(256) * 0.0125
+        ens = ScreenEnsemble.powerlaw(1.3, p, grid, 6, MASTER)
+        for i, screen in enumerate(ens):
+            single = sample_powerlaw_screen(1.3, p, grid, np.random.SeedSequence((MASTER, i)))
+            np.testing.assert_array_equal(screen.phase_rad, single.phase_rad)
 
