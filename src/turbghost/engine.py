@@ -41,7 +41,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .model import (
     AnalyticKernel,
@@ -333,6 +332,8 @@ def fit_kernel_sigma(kernel):
     """
     if isinstance(kernel, AnalyticKernel):
         return kernel.sigma_mm
+    from scipy.optimize import least_squares
+
     x = kernel.offsets_mm
     y = kernel.values
     w = np.where(kernel.standard_errors > 0, kernel.standard_errors, 1.0)

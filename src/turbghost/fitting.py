@@ -20,7 +20,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .scan import ScanData
 
@@ -218,6 +217,8 @@ def _fit_core(x, y, sig, scale, init):
     optimizer stall or an out-of-bounds solution yields a non-converged
     result instead of raising.
     """
+    from scipy.optimize import least_squares
+
     p0 = np.clip(init.to_vector(), _PARAM_LO, _PARAM_HI)
 
     def resid(p):
@@ -362,6 +363,7 @@ def fit_alpha(points, g_by_label, k, k0):
         logr = -np.log(ratio)
     mask = np.isfinite(logr) & (c > 0)
     a0 = float(np.clip(np.nansum(logr[mask]) / max(np.sum(c[mask]), 1e-12), 0.0, 1e3))
+    from scipy.optimize import least_squares
     sol = least_squares(
         resid,
         [a0],

@@ -84,9 +84,9 @@ class OpticsConfig:
     crystal sits ``shift_mm`` away from the central image plane: the
     image-arm lens is ``2 f - shift`` from the crystal and the object-arm
     lens ``2 f + shift``, so the summed crystal-to-lens distance stays
-    ``4 f`` for any shift.  These three distances follow from ``f`` and
-    the shift and are read-only properties.  ``system_visibility`` is the
-    measured fringe visibility of the system with no turbulence present.
+    ``4 f`` for any shift.  The object-arm and detector distances are
+    read-only properties.  ``system_visibility`` is the measured fringe
+    visibility of the system with no turbulence present.
     """
 
     wavelength_nm: float = 650.0
@@ -106,10 +106,6 @@ class OpticsConfig:
             )
         if not 0.0 < self.system_visibility <= 1.0:
             raise ValueError("system_visibility must be in (0, 1]")
-
-    @property
-    def image_arm_crystal_to_lens_mm(self):
-        return 2.0 * self.focal_length_mm - self.shift_mm
 
     @property
     def object_arm_crystal_to_lens_mm(self):

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as _gamma
 
 __all__ = [
     "TiltScreen",
@@ -99,7 +98,9 @@ def _powerlaw_modes(alpha, p):
     2 * integral S(f) (1 - cos 2 pi f r) df = alpha r^p; the outer/inner
     scales window the integral to [1/L0, 1/l0].
     """
-    A = alpha * _gamma(1.0 + p) * math.sin(p * math.pi / 2.0) / ((2.0 * math.pi) ** p * math.pi)
+    # scipy's gamma, not math.gamma: they differ by an ULP at many p, which moves screen bits.
+    from scipy.special import gamma
+    A = alpha * gamma(1.0 + p) * math.sin(p * math.pi / 2.0) / ((2.0 * math.pi) ** p * math.pi)
     fmin, fmax = 1.0 / OUTER_SCALE_MM, 1.0 / INNER_SCALE_MM
     n_modes = int(math.ceil(math.log10(fmax / fmin) * MODES_PER_DECADE))
     f = np.geomspace(fmin, fmax, n_modes)

@@ -90,6 +90,7 @@ REMOVED_ATTRIBUTES = {
     "FitResult.visibility": lambda: fitting.fit_profile(X, PROFILE),
     "FitResult.visibility_error": lambda: fitting.fit_profile(X, PROFILE),
     "model.g2_kernel": lambda: model,
+    "OpticsConfig.image_arm_crystal_to_lens_mm": lambda: OpticsConfig(),
     "ImageProfile.truncation_warning": lambda: engine.synthesize_image(
         AnalyticKernel(0.0), ObjectPattern()
     ),

@@ -1,0 +1,57 @@
+"""scipy is imported where it is called.
+
+Each case runs in a fresh interpreter, because this test process already
+holds scipy.  Commands that neither fit nor build power-law screens must
+leave ``sys.modules`` free of scipy.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import turbghost
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(turbghost.__file__)))
+FIXTURE = os.path.join(os.path.dirname(__file__), "data", "fixture_scan_seed424242.csv")
+
+
+def scipy_modules_after(code, cwd):
+    """Names of the scipy modules loaded once ``code`` has run in a fresh interpreter."""
+    probe = (
+        "import json, sys\n"
+        + code
+        + "\nprint(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", probe], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def cli(argv):
+    """Probe code that runs ``cli.main(argv)`` and fails unless it exits 0."""
+    return (f"from turbghost.cli import main\ntry:\n    rc = main({argv!r})\n"
+            "except SystemExit as exc:\n    rc = exc.code\nassert rc == 0, rc")
+
+
+@pytest.mark.parametrize("code", [
+    "import turbghost\nimport turbghost.cli",
+    cli(["analytic"]),
+    cli(["analytic", "--curve", "0", "250", "251"]),
+    cli(["simulate", "--output", "scan.csv"]),
+    cli(["kernel", "--method", "analytic"]),
+    cli(["--version"]),
+    "from turbghost.config import bundled_config_path, load_config\n"
+    "load_config(bundled_config_path('paper_unshifted.json'))",
+], ids=["import", "analytic", "analytic-curve", "simulate", "kernel-analytic", "version", "load_config"])
+def test_command_loads_no_scipy(code, tmp_path):
+    assert scipy_modules_after(code, tmp_path) == []
+
+
+def test_fit_loads_optimize(tmp_path):
+    # Positive control: the probe does see a scipy import when one happens.
+    assert "scipy.optimize" in scipy_modules_after(cli(["fit", FIXTURE]), tmp_path)

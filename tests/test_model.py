@@ -60,17 +60,13 @@ class TestWavenumber:
 class TestOpticsConfig:
     def test_defaults(self):
         opt = OpticsConfig()
-        assert opt.image_arm_crystal_to_lens_mm == 1000.0
         assert opt.object_arm_crystal_to_lens_mm == 1000.0
         assert opt.lens_to_detector_mm == 1000.0
         assert opt.k == pytest.approx(9666.438934122441)
 
     def test_shift_moves_both_lenses(self):
         opt = OpticsConfig(shift_mm=330.0)
-        assert opt.image_arm_crystal_to_lens_mm == 670.0
         assert opt.object_arm_crystal_to_lens_mm == 1330.0
-        total = opt.image_arm_crystal_to_lens_mm + opt.object_arm_crystal_to_lens_mm
-        assert total == 4.0 * opt.focal_length_mm
 
     def test_shift_beyond_2f_rejected(self):
         with pytest.raises(ValueError):
