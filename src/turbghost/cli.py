@@ -44,6 +44,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
+DEFAULT_DISTANCE_MM = 482.0
+
 
 class NumericalFailure(RuntimeError):
     pass
@@ -88,12 +90,15 @@ def _cmd_analytic(args):
     )
     k0 = fringe_wavenumber_from_cycles(args.cycles_per_mm)
     if args.curve:
+        if args.effective_distance_mm is not None:
+            raise ConfigError("--effective-distance-mm is not read with --curve")
         lo, hi, n = args.curve
         d = np.linspace(lo, hi, int(n))
         v = model_curve(optics, args.alpha_per_mm2, d, k0)
         text = "\n".join(["d_mm,V"] + [f"{di:.10g},{vi:.10g}" for di, vi in zip(d, v)])
     else:
-        v = model_curve(optics, args.alpha_per_mm2, [args.effective_distance_mm], k0)
+        d = args.effective_distance_mm
+        v = model_curve(optics, args.alpha_per_mm2, [DEFAULT_DISTANCE_MM if d is None else d], k0)
         text = f"{v[0]:.10g}"
     _write_or_print(text, args.output)
     return EXIT_OK
@@ -166,7 +171,7 @@ def _cmd_fit(args):
 def _cmd_campaign(args):
     config = _load_config_with_overrides(args)
     report = run_campaign(config)
-    out_dir = args.output_dir or config.output_dir or "."
+    out_dir = config.output_dir or "."
     os.makedirs(out_dir, exist_ok=True)
     json_path = os.path.join(out_dir, "campaign_report.json")
     csv_path = os.path.join(out_dir, "campaign_points.csv")
@@ -183,7 +188,10 @@ def _cmd_campaign(args):
 
 
 def _cmd_reproduce(args):
-    written = reproduce_figure(args.figure, args.output_dir, master_seed=args.master_seed)
+    if args.master_seed is not None and args.figure != "fig3":
+        raise ConfigError("--master-seed is read only by --figure fig3")
+    seeded = {} if args.master_seed is None else {"master_seed": args.master_seed}
+    written = reproduce_figure(args.figure, args.output_dir, **seeded)
     for path in written:
         sys.stdout.write(f"wrote {path}\n")
     return EXIT_OK
@@ -199,7 +207,6 @@ def build_parser():
 
     common_phys = argparse.ArgumentParser(add_help=False)
     common_phys.add_argument("--alpha-per-mm2", type=float, default=2.0)
-    common_phys.add_argument("--effective-distance-mm", type=float, default=482.0)
     common_phys.add_argument("--wavelength-nm", type=float, default=650.0)
     common_phys.add_argument("--output", default=None)
 
@@ -207,10 +214,13 @@ def build_parser():
     p.add_argument("--cycles-per-mm", type=float, default=3.6)
     p.add_argument("--system-visibility", type=float, default=1.0)
     p.add_argument("--curve", type=float, nargs=3, metavar=("LO", "HI", "N"), default=None)
+    p.add_argument("--effective-distance-mm", type=float, default=None,
+                   help=f"single point only, not with --curve (default {DEFAULT_DISTANCE_MM:g})")
     p.set_defaults(func=_cmd_analytic)
 
     p = sub.add_parser("kernel", parents=[common_phys], help="tabulate the coincidence kernel")
     p.add_argument("--method", choices=("analytic", "mc", "quadrature"), default="analytic")
+    p.add_argument("--effective-distance-mm", type=float, default=DEFAULT_DISTANCE_MM)
     for name, (reader, default) in _KERNEL_FLAGS.items():
         p.add_argument("--" + name.replace("_", "-"), type=type(default), default=None,
                        help=f"--method {reader} only (default {default})")
@@ -219,7 +229,6 @@ def build_parser():
     common_cfg = argparse.ArgumentParser(add_help=False)
     common_cfg.add_argument("--config", default=None, help="JSON config (default: bundled unshifted)")
     common_cfg.add_argument("--master-seed", type=int, default=None)
-    common_cfg.add_argument("--output-dir", default=None)
     common_cfg.add_argument(
         "--set", dest="overrides", action="append", metavar="KEY=JSON",
         help="override any config key by dotted path, e.g. --set detector.peak_rate_cps=50",
@@ -238,12 +247,14 @@ def build_parser():
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("campaign", parents=[common_cfg], help="run a full sweep campaign")
+    p.add_argument("--output-dir", default=None)
     p.set_defaults(func=_cmd_campaign)
 
     p = sub.add_parser("reproduce", help="emit figure data files")
     p.add_argument("--figure", choices=("fig3", "fig4", "fig5"), required=True)
     p.add_argument("--output-dir", default=".")
-    p.add_argument("--master-seed", type=int, default=20260809)
+    p.add_argument("--master-seed", type=int, default=None,
+                   help="--figure fig3 only (default 20260809)")
     p.set_defaults(func=_cmd_reproduce)
     return parser
 

@@ -25,10 +25,10 @@ Three routes to it are implemented and cross-checked by the test suite:
   by -a d / k),
 * `quadrature_g2`, numerical integration over the turbulence-plane pair
   coordinates with the ensemble-averaged screen correlation
-  exp(-alpha u^2 / 2).  The inner source integral is a Gaussian-chirp
-  integral evaluated in closed form; everything the screen statistics
-  touch is summed numerically, with one FFT autocorrelation serving
-  every offset.
+  exp(-alpha u^2 / 2).  The folded integrand is one closed-form
+  exponent, shared with the per-screen amplitude; everything the screen
+  statistics touch is summed numerically, with one FFT autocorrelation
+  serving every offset.
 
 Reductions are deterministic: Monte Carlo histograms accumulate integer
 counts (order-independent), and per-screen draws are pure functions of
@@ -137,34 +137,6 @@ def _check_alpha(path: KlyshkoPath, alpha_per_mm2):
         raise ValueError(f"alpha_per_mm2={alpha_per_mm2} disagrees with the path's alpha {own}")
 
 
-def _source_integral(xt, x1, l1, delta, ws, k):
-    """Closed form of int dx_s S(x_s) e^{ik(x_t-x_s)^2/2l1} e^{-ik(x_s-x1)^2/2delta}.
-
-    Gaussian-chirp integral: with beta = 1/(2 w_s^2) + i k (l1-delta)/(2 l1 delta),
-    gamma = i k (x1/delta - x_t/l1), eta = i k (x_t^2/(2 l1) - x1^2/(2 delta)),
-    the result is sqrt(pi/beta) exp(gamma^2/(4 beta) + eta).  Re(beta) > 0
-    guarantees the principal square root.
-    """
-    beta = 1.0 / (2.0 * ws**2) + 1j * k * (l1 - delta) / (2.0 * l1 * delta)
-    gam = 1j * k * (x1 / delta - xt / l1)
-    eta = 1j * k * (xt**2 / (2.0 * l1) - x1**2 / (2.0 * delta))
-    return np.sqrt(np.pi / beta) * np.exp(gam**2 / (4.0 * beta) + eta)
-
-
-def _prefield(xt, x1, path: KlyshkoPath):
-    """Field reaching the turbulence plane from image-arm position x1."""
-    l1 = path.l1_eff_mm
-    delta = path.shift_mm
-    if l1 <= 0:
-        raise ValueError("quadrature requires a positive crystal-to-turbulence distance")
-    if abs(delta) < 1e-12:
-        # Zero-distance image-arm kernel is a delta pinning x_s = x1.
-        b = np.exp(1j * path.k * (xt - x1) ** 2 / (2.0 * l1))
-        return b * math.exp(-(x1**2) / (2.0 * path.source_width_mm**2))
-    b = _source_integral(xt, x1, l1, delta, path.source_width_mm, path.k)
-    return b / np.abs(b).max()
-
-
 def _turbulence_grid(path: KlyshkoPath, u_max):
     """Turbulence-plane grid: spacing at four points per fastest local
     Fresnel fringe (pi * d_min / (4 k x_max)), span covering the source
@@ -183,6 +155,34 @@ def _turbulence_grid(path: KlyshkoPath, u_max):
     dx = math.pi * dmin / (4.0 * path.k * half_span)
     n = int(math.ceil(2.0 * half_span / dx)) | 1
     return (np.arange(n) - n // 2) * dx, dx
+
+
+def _folded_integrand(path: KlyshkoPath, x1, u_max):
+    """Turbulence grid, its spacing, and the folded integrand on it:
+    g(x_t) = P(x_t; x1) exp(-i k x_t^2 / (2 d)), the field reaching the
+    turbulence plane from image-arm position x1 times the image-arm chirp
+    about x2 = 0.  Every factor is a quadratic-phase Gaussian, so g is
+    exp((a x_t + b) x_t + c).  For a shifted crystal P is the source integral
+    sqrt(pi/beta) exp(gamma^2/(4 beta) + eta), beta = 1/(2 w_s^2) +
+    i k (l1-delta)/(2 l1 delta), gamma = i k (x1/delta - x_t/l1),
+    eta = i k (x_t^2/(2 l1) - x1^2/(2 delta)).  Re(beta) > 0 makes Re(a) < 0;
+    c holds the x1-only terms and the phase of sqrt(pi/beta), and Re(c) puts
+    the peak of |g| at 1.  At delta = 0 the source pins x_s = x1."""
+    xt, dx = _turbulence_grid(path, u_max)
+    k, d, l1, delta = path.k, path.effective_distance_mm, path.l1_eff_mm, path.shift_mm
+    if l1 <= 0:
+        raise ValueError("quadrature requires a positive crystal-to-turbulence distance")
+    a = 0.5j * k * (1.0 / l1 - 1.0 / d)
+    if abs(delta) < 1e-12:
+        b = -1j * k * x1 / l1
+        c = 1j * k * x1**2 / (2.0 * l1) - x1**2 / (2.0 * path.source_width_mm**2)
+    else:
+        beta = 1.0 / (2.0 * path.source_width_mm**2) + 1j * k * (l1 - delta) / (2.0 * l1 * delta)
+        a -= k**2 / (4.0 * beta * l1**2)
+        b = k**2 * x1 / (2.0 * beta * delta * l1)
+        phase = -k * x1**2 / (2.0 * delta) - ((k * x1 / delta) ** 2 / (4.0 * beta)).imag
+        c = complex(b.real**2 / (4.0 * a.real), phase - np.angle(beta) / 2.0)
+    return xt, dx, np.exp((a * xt + b) * xt + c)
 
 
 def klyshko_amplitude(x1, x2, screen, path: KlyshkoPath):
@@ -204,23 +204,23 @@ def klyshko_amplitude(x1, x2, screen, path: KlyshkoPath):
 
 
 def klyshko_amplitude_quadrature(x1, x2, screen, path: KlyshkoPath):
-    """Direct quadrature of the folded kernels for one screen realization,
-    on the turbulence-plane grid of ``_turbulence_grid``.  h = exp(i phi) P
-    is built once per call; each x2 (a scalar, giving a ``complex``, or an
-    array) is then one dot product of h with exp(-i k (x2 - x_t)^2 / (2 d))."""
-    xt, dx = _turbulence_grid(path, u_max=2.0)
+    """Direct quadrature of the folded kernels for one screen realization.
+    h = g exp(i phi), g from ``_folded_integrand``, is built once per call;
+    each x2 (a scalar, giving a ``complex``, or an array) is then
+    exp(-i k x2^2 / (2 d)) dx times one dot product of h with exp(i k x2 x_t / d)."""
+    xt, dx, h = _folded_integrand(path, x1, u_max=2.0)
     phase = screen.phase(xt)
-    h = np.empty(xt.shape, dtype=complex)
-    np.cos(phase, out=h.real)
-    np.sin(phase, out=h.imag)
-    h *= _prefield(xt, x1, path)
-    out, chirp, kernel = np.empty(np.shape(x2), dtype=complex), np.empty_like(xt), np.empty_like(h)
+    kernel = np.empty_like(h)
+    np.cos(phase, out=kernel.real)
+    np.sin(phase, out=kernel.imag)
+    h *= kernel
+    kd = path.k / path.effective_distance_mm
+    out = np.empty(np.shape(x2), dtype=complex)
     for i, x in np.ndenumerate(np.asarray(x2, dtype=float)):
-        np.square(np.subtract(x, xt, out=chirp), out=chirp)
-        chirp *= -path.k / (2.0 * path.effective_distance_mm)
-        np.cos(chirp, out=kernel.real)
-        np.sin(chirp, out=kernel.imag)
-        out[i] = np.dot(kernel, h) * dx
+        np.multiply(xt, kd * x, out=phase)
+        np.cos(phase, out=kernel.real)
+        np.sin(phase, out=kernel.imag)
+        out[i] = np.exp(-0.5j * kd * x**2) * np.dot(kernel, h) * dx
     return complex(out) if out.ndim == 0 else out
 
 
@@ -261,12 +261,12 @@ def quadrature_g2(path: KlyshkoPath, alpha_per_mm2):
         G2(x2) = int du dc  F(c + u) conj(F(c)) exp(-alpha u^2 / 2),
 
     with F = exp(-i k (x2 - x_t)^2 / (2 d)) P the per-point integrand of the
-    folded kernels at x1 = 0 (P the prefield).  On the grid x_t = j dx the
-    offset enters the lag-m diagonal sum only as a phase,
+    folded kernels at x1 = 0 (P the field at the turbulence plane).  On the
+    grid x_t = j dx the offset enters the lag-m diagonal sum only as a phase,
     sum_j conj(F_j) F_{j+m} = exp(i k x2 m dx / d) R(m), where R is the
-    autocorrelation of g = exp(-i k x_t^2 / (2 d)) P.  One zero-padded FFT
-    (Wiener-Khinchin) gives R at every lag up to u_max = 4.5 / sqrt(alpha),
-    and each value is the lag sum
+    autocorrelation of g = F at x2 = 0, from ``_folded_integrand``.  One
+    zero-padded FFT (Wiener-Khinchin) gives R at every lag up to
+    u_max = 4.5 / sqrt(alpha), and each value is the lag sum
 
         G2(x2) = dx sum_m w_m exp(-alpha (m dx)^2 / 2) Re(exp(i k x2 m dx / d) R(m)),
 
@@ -288,21 +288,15 @@ def quadrature_g2(path: KlyshkoPath, alpha_per_mm2):
     half_span = QUADRATURE_SPAN_SIGMAS * kernel_sigma(alpha_per_mm2, d, path.k)
     offsets = np.linspace(-half_span, half_span, QUADRATURE_OFFSETS)
     u_max = 4.5 / math.sqrt(alpha_per_mm2)
-    xt, dx = _turbulence_grid(path, u_max)
+    xt, dx, g = _folded_integrand(path, 0.0, u_max)
     n = xt.size
     m_max = int(u_max / dx)
-    # g = exp(-i k x_t^2 / (2 d)) P, zero-padded past n + m_max so the circular
-    # correlation has no wrap-around at any lag used.  One buffer is
-    # transformed, squared and transformed back in place, so peak memory
-    # stays that of the prefield.
-    pre = _prefield(xt, 0.0, path)
-    chirp = xt**2
-    chirp *= -path.k / (2.0 * d)
+    # g zero-padded past n + m_max so the circular correlation has no
+    # wrap-around at any lag used.  The one buffer is transformed, squared
+    # and transformed back in place.
     buf = np.zeros(next_fast_len(n + m_max + 1), dtype=complex)
-    np.cos(chirp, out=buf.real[:n])
-    np.sin(chirp, out=buf.imag[:n])
-    buf[:n] *= pre
-    del pre, chirp
+    buf[:n] = g
+    del g
     np.fft.fft(buf, out=buf)
     re, im = buf.real, buf.imag
     np.square(re, out=re)

@@ -103,16 +103,8 @@ class FitResult:
     message: str = ""
 
     def to_json_dict(self):
-        """Stable serialization schema for fit results."""
-        return {
-            "schema_version": 1,
-            "converged": self.converged,
-            "model": None if self.model is None else asdict(self.model),
-            "errors": dict(self.errors),
-            "reduced_chi2": self.reduced_chi2,
-            "n_evaluations": self.n_evaluations,
-            "message": self.message,
-        }
+        """Stable serialization schema for fit results: the fields, versioned."""
+        return {"schema_version": 1, **asdict(self)}
 
     def to_json(self, **kwargs):
         return json.dumps(self.to_json_dict(), **kwargs)
@@ -319,14 +311,7 @@ class AlphaFitResult:
     message: str = ""
 
     def to_json_dict(self):
-        return {
-            "schema_version": 1,
-            "converged": self.converged,
-            "alpha_per_mm2": self.alpha_per_mm2,
-            "alpha_sigma": self.alpha_sigma,
-            "reduced_chi2": self.reduced_chi2,
-            "message": self.message,
-        }
+        return {"schema_version": 1, **asdict(self)}
 
 
 def fit_alpha(points, g_by_label, k, k0):

@@ -130,10 +130,10 @@ class TurbulenceSpec:
     """Thin turbulent sheet: strength, structure-function exponent, placement.
 
     ``alpha_per_mm2`` parameterizes the wave structure function
-    ``D(r) = alpha * r**exponent`` (units mm^-exponent; mm^-2 for the
-    default square law).  The sheet sits either on the crystal side of the
-    object-arm lens (``l1_mm`` from the crystal) or on the object side
-    (``distance_from_object_mm`` from the object).
+    ``D(r) = alpha * r**exponent`` (mm^-2); ``exponent`` must be 2.0, the
+    only law the visibility law and kernels model.  The sheet sits either on
+    the crystal side of the object-arm lens (``l1_mm`` from the crystal) or
+    on the object side (``distance_from_object_mm`` from the object).
     """
 
     alpha_per_mm2: float
@@ -145,8 +145,8 @@ class TurbulenceSpec:
     def __post_init__(self):
         if not self.alpha_per_mm2 >= 0:
             raise ValueError("alpha_per_mm2 must be >= 0")
-        if not 0.0 < self.exponent <= 2.0:
-            raise ValueError("exponent must be in (0, 2]")
+        if self.exponent != 2.0:
+            raise ValueError(f"exponent must be 2.0 (square law only), got {self.exponent}")
         if self.side == "crystal":
             if self.l1_mm is None or self.distance_from_object_mm is not None:
                 raise ValueError("crystal-side placement takes l1_mm only")

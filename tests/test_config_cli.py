@@ -271,6 +271,46 @@ class TestCLI:
         err = capsys.readouterr().err
         assert "configuration error" in err and flag in err
 
+    def test_analytic_curve_refuses_effective_distance(self, capsys):
+        rc = main(["analytic", "--curve", "0", "250", "26", "--effective-distance-mm", "100"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "configuration error" in captured.err and "--effective-distance-mm" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("figure", ["fig4", "fig5"])
+    def test_reproduce_model_curve_refuses_master_seed(self, tmp_path, capsys, figure):
+        out = tmp_path / "figs"
+        rc = main(["reproduce", "--figure", figure, "--master-seed", "5", "--output-dir", str(out)])
+        assert rc == 2
+        assert "--master-seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_reproduce_fig3_reads_master_seed(self, tmp_path):
+        files = {}
+        for seed in (None, "20260809", "5"):
+            out = tmp_path / f"fig3_{seed}"
+            seeded = [] if seed is None else ["--master-seed", seed]
+            assert main(["reproduce", "--figure", "fig3", *seeded, "--output-dir", str(out)]) == 0
+            files[seed] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        assert files[None] == files["20260809"] != files["5"]
+
+    def test_campaign_output_dir_flag_wins_over_file(self, tmp_path, capsys):
+        cfg = minimal_config(tmp_path, output_dir=str(tmp_path / "file"))
+        written = ["campaign_points.csv", "campaign_report.json"]
+        assert main(["campaign", "--config", str(cfg)]) == 0
+        assert sorted(p.name for p in (tmp_path / "file").iterdir()) == written
+        assert main(["campaign", "--config", str(cfg), "--output-dir", str(tmp_path / "flag")]) == 0
+        assert sorted(p.name for p in (tmp_path / "flag").iterdir()) == written
+
+    def test_simulate_has_no_output_dir_option(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", str(minimal_config(tmp_path)),
+                  "--output-dir", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "--output-dir" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_kernel_rejects_system_visibility(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["kernel", "--system-visibility", "0.5"])

@@ -32,6 +32,21 @@ def crystal_path(alpha, d, shift=0.0, ws=4.0):
     return KlyshkoPath(optics, spec, source_width_mm=ws)
 
 
+def reference_prefield(xt, x1, path):
+    """Field reaching the turbulence plane from image-arm position x1, in
+    textbook form: the Gaussian source integral sqrt(pi/beta)
+    exp(gamma^2/(4 beta) + eta), peak-normalized on the grid, or at
+    delta = 0 the source pinned at x_s = x1."""
+    k, l1, delta, ws = path.k, path.l1_eff_mm, path.shift_mm, path.source_width_mm
+    if delta == 0.0:
+        return np.exp(1j * k * (xt - x1) ** 2 / (2.0 * l1)) * math.exp(-(x1**2) / (2.0 * ws**2))
+    beta = 1.0 / (2.0 * ws**2) + 1j * k * (l1 - delta) / (2.0 * l1 * delta)
+    gam = 1j * k * (x1 / delta - xt / l1)
+    eta = 1j * k * (xt**2 / (2.0 * l1) - x1**2 / (2.0 * delta))
+    b = np.sqrt(np.pi / beta) * np.exp(gam**2 / (4.0 * beta) + eta)
+    return b / np.abs(b).max()
+
+
 class TestKlyshkoPath:
     def test_effective_quantities(self):
         path = crystal_path(2.0, 152.0, shift=330.0, ws=12.0)
@@ -129,12 +144,28 @@ class TestAmplitude:
         if geometry != "tilt_fast_path":
             # Reference: the folded-kernel integrand summed directly per x2.
             xt, dx = engine._turbulence_grid(path, u_max=2.0)
-            field = np.exp(1j * screen.phase(xt)) * engine._prefield(xt, 0.0, path)
+            field = np.exp(1j * screen.phase(xt)) * reference_prefield(xt, 0.0, path)
             d = path.effective_distance_mm
             direct = np.array(
                 [np.sum(np.exp(-1j * path.k * (x - xt) ** 2 / (2.0 * d)) * field) * dx for x in x2]
             )
             assert np.abs(array - direct).max() <= 1e-12 * np.abs(direct).max()
+
+    @pytest.mark.parametrize("d,shift,ws,x1", [
+        (482.0, 330.0, 12.0, 0.0), (482.0, 330.0, 12.0, 0.01), (482.0, 330.0, 12.0, 0.5),
+        (152.0, 330.0, 24.0, 0.0), (152.0, 330.0, 24.0, 0.2),
+        (482.0, 0.0, 4.0, 0.0), (482.0, 0.0, 4.0, 0.3),
+    ])
+    def test_folded_integrand_matches_source_integral(self, d, shift, ws, x1):
+        # The one closed-form exponent equals the textbook source integral
+        # times the image-arm chirp, off axis (x1 != 0) as well as on it.
+        path = crystal_path(2.0, d, shift=shift, ws=ws)
+        xt, dx, g = engine._folded_integrand(path, x1, u_max=2.0)
+        grid, spacing = engine._turbulence_grid(path, u_max=2.0)
+        np.testing.assert_array_equal(xt, grid)
+        assert dx == spacing
+        ref = reference_prefield(xt, x1, path) * np.exp(-1j * path.k * xt**2 / (2.0 * d))
+        assert np.abs(g - ref).max() <= 1e-9 * np.abs(ref).max()
 
     def test_gridded_screen_outside_support_rejected(self):
         from turbghost.screens import GriddedScreen
@@ -240,7 +271,7 @@ class TestQuadratureG2:
         # The quadratic form summed lag by lag on the turbulence grid, one
         # np.vdot per (offset, lag).
         xt, dx = engine._turbulence_grid(path, 4.5 / math.sqrt(alpha))
-        pre = engine._prefield(xt, 0.0, path)
+        pre = reference_prefield(xt, 0.0, path)
         n, m_max = xt.size, int(4.5 / math.sqrt(alpha) / dx)
         flat = path.shift_mm == 0.0
         d = path.effective_distance_mm

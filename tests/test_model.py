@@ -114,6 +114,14 @@ class TestEffectiveDistance:
         with pytest.raises(ValueError):
             TurbulenceSpec(1.0, exponent=2.5, side="crystal", l1_mm=10.0)
 
+    @pytest.mark.parametrize("exponent", [1.0, 5.0 / 3.0])
+    def test_non_square_law_exponent_rejected(self, exponent):
+        # Nothing downstream reads the exponent, so a non-square law is refused.
+        with pytest.raises(ValueError, match="square law"):
+            TurbulenceSpec.crystal_side(2.0, 300.0, exponent=exponent)
+        with pytest.raises(ValueError, match="square law"):
+            TurbulenceSpec.object_side(2.0, 200.0, exponent=exponent)
+
 
 class TestG2Kernel:
     KERNEL = kernel_from_turbulence(2.0, 482.0, K_650)
