@@ -22,6 +22,7 @@ from .model import (  # noqa: F401
     ghost_image_profile,
     kernel_from_turbulence,
     kernel_sigma,
+    model_visibility,
     validity_ratio,
     wavenumber,
 )

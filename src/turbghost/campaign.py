@@ -3,7 +3,10 @@
 A campaign runs each turbulence sweep point through simulate -> fit,
 collects visibility points next to the model curve, and emits a
 replayable report: every number is a pure function of the configuration
-hash and the master seed.  Points run serially in sweep order.
+hash and the master seed.  Points run serially in sweep order.  Every
+predicted visibility here (campaign points and curve, figure curves, the
+curve crossing) is ``model.model_visibility``, so each carries the
+object's intrinsic visibility v0 and the system ceiling g.
 """
 
 from __future__ import annotations
@@ -27,12 +30,11 @@ from .config import (
 from .engine import KlyshkoPath
 from .fitting import fit_scan, slit_factor
 from .model import (
-    OpticsConfig,
     TurbulenceSpec,
     VALIDITY_WARN_THRESHOLD,
     VisibilityPoint,
     effective_distance,
-    fringe_visibility,
+    model_visibility,
     validity_ratio,
 )
 from .scan import format_scan_csv, simulate_scan
@@ -45,7 +47,6 @@ __all__ = [
     "run_campaign",
     "write_report_json",
     "write_campaign_csv",
-    "model_curve",
     "curve_crossing",
     "reproduce_figure",
 ]
@@ -139,13 +140,10 @@ def _scan(config: ExperimentConfig, spec: TurbulenceSpec, seed):
 
 
 def _run_point(config: ExperimentConfig, index, spec: TurbulenceSpec):
-    optics = config.optics
+    optics, pattern = config.optics, config.pattern
     d = effective_distance(spec, optics)
-    k = optics.k
-    k0 = config.pattern.fringe_wavenumber
-    v0 = config.pattern.intrinsic_visibility
-    v_model = v0 * fringe_visibility(optics.system_visibility, spec.alpha_per_mm2, d, k, k0)
-    ratio = validity_ratio(d, spec.alpha_per_mm2, k, config.pattern.envelope_width_mm)
+    ratio = validity_ratio(d, spec.alpha_per_mm2, optics.k, pattern.envelope_width_mm)
+    seed = point_seed(config.engine.master_seed, index)
     placement = "crystal_side" if spec.side == "crystal" else "object_side"
     placement_distance = spec.l1_mm if spec.side == "crystal" else spec.distance_from_object_mm
     base = dict(
@@ -154,16 +152,16 @@ def _run_point(config: ExperimentConfig, index, spec: TurbulenceSpec):
         placement_distance_mm=placement_distance,
         alpha_per_mm2=spec.alpha_per_mm2,
         effective_distance_mm=d,
-        model_visibility=v_model,
-        seed=point_seed(config.engine.master_seed, index),
+        model_visibility=model_visibility(optics, pattern, spec.alpha_per_mm2, d),
+        seed=seed,
         validity_ratio=ratio,
         validity_warning=ratio > VALIDITY_WARN_THRESHOLD,
     )
     try:
-        result = fit_scan(simulate_point(config, index))
+        result = fit_scan(_scan(config, spec, seed))
         if not result.converged:
             return CampaignPoint(**base, error=f"fit failed: {result.message}")
-        factor = slit_factor(k0, config.detector.slit_width_mm)
+        factor = slit_factor(pattern.fringe_wavenumber, config.detector.slit_width_mm)
         sigma = result.errors.get("visibility", float("nan"))
         return CampaignPoint(
             **base,
@@ -190,10 +188,7 @@ def run_campaign(config: ExperimentConfig):
     else:
         curve_d = np.linspace(0.0, 1.0, 2)
     alpha_curve = specs[0].alpha_per_mm2 if specs else 0.0
-    pattern = config.pattern
-    curve_v = pattern.intrinsic_visibility * model_curve(
-        config.optics, alpha_curve, curve_d, pattern.fringe_wavenumber
-    )
+    curve_v = model_visibility(config.optics, config.pattern, alpha_curve, curve_d)
     return CampaignReport(
         points=tuple(points),
         curve_distances_mm=curve_d,
@@ -236,27 +231,20 @@ def _paper_setups():
             for tag in ("unshifted", "shifted")]
 
 
-def model_curve(optics: OpticsConfig, alpha, distances_mm, k0):
-    return np.array(
-        [
-            fringe_visibility(optics.system_visibility, alpha, d, optics.k, k0)
-            for d in np.asarray(distances_mm, dtype=float)
-        ]
-    )
-
-
 def curve_crossing(alpha, k0):
     """Crystal-side l1 where the shifted curve overtakes the unshifted one.
 
-    With c = alpha / (2 (k/k0)^2) for the shared k, the curves
-    g exp(-c (l1 - s)^2) meet once, at (s_u + s_s)/2 + ln(g_u/g_s) / (2c (s_s - s_u)).
+    With c = alpha / (2 (k/k0)^2) for the shared k and ceilings
+    m = v0 g (the model visibility at d = 0), the curves m exp(-c (l1 - s)^2)
+    meet once, at (s_u + s_s)/2 + ln(m_u/m_s) / (2c (s_s - s_u)).
     """
     if not alpha > 0:
         raise ValueError("alpha must be > 0: without turbulence the curves never cross")
-    unshifted, shifted = (cfg.optics for cfg in _paper_setups())
-    c = alpha / (2.0 * (unshifted.k / k0) ** 2)
-    s_u, s_s = unshifted.shift_mm, shifted.shift_mm
-    log_ratio = math.log(unshifted.system_visibility / shifted.system_visibility)
+    unshifted, shifted = setups = _paper_setups()
+    c = alpha / (2.0 * (unshifted.optics.k / k0) ** 2)
+    s_u, s_s = unshifted.optics.shift_mm, shifted.optics.shift_mm
+    m_u, m_s = (model_visibility(cfg.optics, cfg.pattern, alpha, 0.0) for cfg in setups)
+    log_ratio = math.log(m_u / m_s)
     return (s_u + s_s) / 2.0 + log_ratio / (2.0 * c * (s_s - s_u))
 
 
@@ -273,10 +261,11 @@ def reproduce_figure(which, out_dir, master_seed=20260809):
 
     Every figure is drawn from the two bundled paper setups: their optics,
     pattern, detector, engine scan settings and the alpha of their first
-    sweep point.  fig3: representative scans for both configurations with
-    no turbulence, object-side turbulence (229 mm unshifted / 203 mm
-    shifted from the object) and crystal-side turbulence 432 mm from the
-    crystal, each built as ``simulate_point`` builds a sweep point.
+    sweep point.  Curves are ``model_visibility``, so they carry v0 * g.
+    fig3: representative scans for both configurations with no
+    turbulence, object-side turbulence (229 mm unshifted / 203 mm shifted
+    from the object) and crystal-side turbulence 432 mm from the crystal,
+    each built by ``_scan`` as a campaign builds a sweep point.
     fig4: visibility vs turbulence-to-object distance, both configurations.
     fig5: visibility vs crystal-to-turbulence distance, both
     configurations, plus the central-image-plane marker and curve crossing.
@@ -289,8 +278,7 @@ def reproduce_figure(which, out_dir, master_seed=20260809):
     written = []
 
     def curve(cfg, distances_mm):
-        alpha = cfg.sweep[0].alpha_per_mm2
-        return model_curve(cfg.optics, alpha, distances_mm, cfg.pattern.fringe_wavenumber)
+        return model_visibility(cfg.optics, cfg.pattern, cfg.sweep[0].alpha_per_mm2, distances_mm)
 
     if which == "fig4":
         d = np.linspace(0.0, 250.0, 251)

@@ -21,7 +21,6 @@ import numpy as np
 
 from . import __version__
 from .campaign import (
-    model_curve,
     run_campaign,
     reproduce_figure,
     simulate_point,
@@ -32,10 +31,12 @@ from .config import ConfigError, bundled_config_path, load_config_dict, read_con
 from .engine import KlyshkoPath, monte_carlo_g2, quadrature_g2, fit_kernel_sigma
 from .fitting import fit_scan, slit_correction
 from .model import (
+    ObjectPattern,
     OpticsConfig,
     TurbulenceSpec,
     fringe_wavenumber_from_cycles,
     kernel_from_turbulence,
+    model_visibility,
     wavenumber,
 )
 from .scan import read_scan_csv, write_scan_csv
@@ -88,18 +89,21 @@ def _cmd_analytic(args):
     optics = OpticsConfig(
         wavelength_nm=args.wavelength_nm, system_visibility=args.system_visibility
     )
-    k0 = fringe_wavenumber_from_cycles(args.cycles_per_mm)
+    # A perfect object (v0 = 1): the law's visibility is the system's alone.
+    pattern = ObjectPattern(fringe_wavenumber=fringe_wavenumber_from_cycles(args.cycles_per_mm),
+                            intrinsic_visibility=1.0)
     if args.curve:
         if args.effective_distance_mm is not None:
             raise ConfigError("--effective-distance-mm is not read with --curve")
         lo, hi, n = args.curve
         d = np.linspace(lo, hi, int(n))
-        v = model_curve(optics, args.alpha_per_mm2, d, k0)
+        v = model_visibility(optics, pattern, args.alpha_per_mm2, d)
         text = "\n".join(["d_mm,V"] + [f"{di:.10g},{vi:.10g}" for di, vi in zip(d, v)])
     else:
         d = args.effective_distance_mm
-        v = model_curve(optics, args.alpha_per_mm2, [DEFAULT_DISTANCE_MM if d is None else d], k0)
-        text = f"{v[0]:.10g}"
+        v = model_visibility(optics, pattern, args.alpha_per_mm2,
+                             DEFAULT_DISTANCE_MM if d is None else d)
+        text = f"{v:.10g}"
     _write_or_print(text, args.output)
     return EXIT_OK
 

@@ -18,13 +18,8 @@ import json
 from dataclasses import asdict, dataclass, field, fields
 from importlib import resources
 
-from .model import (
-    ObjectPattern,
-    OpticsConfig,
-    TurbulenceSpec,
-    effective_distance,
-    fringe_wavenumber_from_cycles,
-)
+from .engine import KlyshkoPath
+from .model import ObjectPattern, OpticsConfig, TurbulenceSpec, fringe_wavenumber_from_cycles
 from .scan import DetectorModel
 
 __all__ = [
@@ -243,12 +238,15 @@ def load_config_dict(raw):
             _build_sweep_point(entry, f"turbulence_sweep[{i}]")
             for i, entry in enumerate(sweep_node)
         )
-        # Placement ranges depend on the optics; check them now, not at use time.
+        # Each point's folded path checks its placement range and the source
+        # width against the optics; build them now, not at use time.
         for i, spec in enumerate(sweep):
             try:
-                effective_distance(spec, optics)
+                KlyshkoPath(optics, spec, source_width_mm=engine.source_width_mm)
             except ValueError as exc:
-                raise ConfigValueError(f"turbulence_sweep[{i}]: {exc}") from exc
+                key = ("engine.source_width_mm" if "source_width_mm" in str(exc)
+                       else f"turbulence_sweep[{i}]")
+                raise ConfigValueError(f"{key}: {exc}") from exc
     except ConfigError:
         raise
     except ValueError as exc:

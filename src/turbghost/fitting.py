@@ -155,20 +155,20 @@ def _residual_fringe_guess(residual, step):
     """Dominant residual frequency via the windowed periodogram.
 
     The top 15% of bins are excluded: an oversampling scan never has a
-    real fringe there, while white noise peaks pile up at Nyquist."""
+    real fringe there, while white noise peaks pile up at Nyquist.  For
+    the >= 8 points ``initial_guess`` requires, the peak bin i lies in
+    [2, len(spec) - 2], so both neighbours of the parabolic
+    interpolation exist."""
     window = np.hanning(len(residual))
     spec = np.fft.rfft(residual * window)
     freqs = 2.0 * math.pi * np.fft.rfftfreq(len(residual), d=step)
     lo = 2
     hi = max(lo + 2, int(0.85 * len(spec)))
     i = lo + int(np.argmax(np.abs(spec[lo:hi])))
-    if 0 < i < len(spec) - 1:  # parabolic peak interpolation
-        a, b, c = np.abs(spec[i - 1]), np.abs(spec[i]), np.abs(spec[i + 1])
-        denom = a - 2 * b + c
-        shift = 0.5 * (a - c) / denom if denom != 0 else 0.0
-        k0 = freqs[i] + shift * (freqs[1] - freqs[0])
-    else:
-        k0 = freqs[i]
+    a, b, c = np.abs(spec[i - 1]), np.abs(spec[i]), np.abs(spec[i + 1])
+    denom = a - 2 * b + c
+    shift = 0.5 * (a - c) / denom if denom != 0 else 0.0
+    k0 = freqs[i] + shift * (freqs[1] - freqs[0])
     return float(max(k0, freqs[1] / 2.0))
 
 
@@ -369,8 +369,11 @@ def slit_factor(k0, slit_width_mm):
 
     A top-hat slit of width s multiplies the contrast by
     sin(k0 s / 2) / (k0 s / 2); a zero-width slit gives 1.  Requires
-    k0 * s / 2 < pi (slit narrower than the fringe period).
+    k0 > 0 and k0 * s / 2 < pi (slit narrower than the fringe period),
+    where the factor is positive.
     """
+    if not k0 > 0:
+        raise ValueError(f"fringe wavenumber k0 must be > 0, got {k0}")
     if slit_width_mm < 0:
         raise ValueError("slit width must be >= 0")
     if slit_width_mm == 0:
@@ -378,10 +381,7 @@ def slit_factor(k0, slit_width_mm):
     arg = k0 * slit_width_mm / 2.0
     if not arg < math.pi:
         raise ValueError("slit too wide: k0 * width / 2 must be < pi")
-    factor = math.sin(arg) / arg
-    if factor <= 0:
-        raise ValueError("non-positive slit attenuation factor")
-    return factor
+    return math.sin(arg) / arg
 
 
 def slit_correction(visibility_raw, k0, slit_width_mm):

@@ -2,7 +2,7 @@
 
 All lengths are canonically millimetres and all wavenumbers rad/mm.
 User-facing constructors take unit-tagged keyword arguments (``*_nm``,
-``*_um``, ``*_mm``) and convert on entry, so no raw unit-ambiguous floats
+``*_mm``) and convert on entry, so no raw unit-ambiguous floats
 cross the API boundary.
 
 The physical content is a folded (Klyshko-style) two-arm imaging system:
@@ -34,12 +34,12 @@ __all__ = [
     "kernel_sigma",
     "kernel_from_turbulence",
     "fringe_visibility",
+    "model_visibility",
     "ghost_image_profile",
     "validity_ratio",
 ]
 
 MM_PER_NM = 1e-6
-MM_PER_UM = 1e-3
 
 #: The thin-blur closed forms assume d*sqrt(alpha) much smaller than k*w.
 #: Ratios above this threshold are flagged; the value is a fixed
@@ -47,22 +47,18 @@ MM_PER_UM = 1e-3
 VALIDITY_WARN_THRESHOLD = 0.1
 
 
-def wavenumber(*, wavelength_mm=None, wavelength_um=None, wavelength_nm=None):
+def wavenumber(*, wavelength_mm=None, wavelength_nm=None):
     """Optical wavenumber k = 2*pi/lambda in rad/mm.
 
     Exactly one unit-tagged wavelength keyword must be given.
     """
     given = [
         w
-        for w in (
-            wavelength_mm,
-            None if wavelength_um is None else wavelength_um * MM_PER_UM,
-            None if wavelength_nm is None else wavelength_nm * MM_PER_NM,
-        )
+        for w in (wavelength_mm, None if wavelength_nm is None else wavelength_nm * MM_PER_NM)
         if w is not None
     ]
     if len(given) != 1:
-        raise ValueError("give exactly one of wavelength_mm/_um/_nm")
+        raise ValueError("give exactly one of wavelength_mm/_nm")
     lam = float(given[0])
     if not lam > 0:
         raise ValueError(f"wavelength must be positive, got {lam} mm")
@@ -268,6 +264,25 @@ def fringe_visibility(g, alpha_per_mm2, distance_mm, k, k0):
     if alpha_per_mm2 < 0:
         raise ValueError("alpha_per_mm2 must be >= 0")
     return g * math.exp(-alpha_per_mm2 * distance_mm**2 / (2.0 * (k / k0) ** 2))
+
+
+def model_visibility(optics: OpticsConfig, pattern: ObjectPattern, alpha_per_mm2, distance_mm):
+    """Predicted fringe visibility of ``pattern`` seen through ``optics``.
+
+    The one home of v0 * fringe_visibility(g, alpha, d, k, k0): the
+    object's intrinsic visibility v0 times the system ceiling g times the
+    turbulence attenuation.  At alpha = 0 or d = 0 it is the bare
+    contrast g * v0.  A scalar distance gives a float; an array gives an
+    array, each element from the same scalar law.
+    """
+    def law(d):
+        return pattern.intrinsic_visibility * fringe_visibility(
+            optics.system_visibility, alpha_per_mm2, d, optics.k, pattern.fringe_wavenumber
+        )
+
+    if np.ndim(distance_mm):
+        return np.array([law(d) for d in np.asarray(distance_mm, dtype=float)])
+    return law(distance_mm)
 
 
 def ghost_image_profile(x, pattern: ObjectPattern, visibility):

@@ -14,12 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .engine import ImageProfile, KlyshkoPath, _check_alpha, synthesize_image
-from .model import (
-    ObjectPattern,
-    fringe_visibility,
-    ghost_image_profile,
-    kernel_from_turbulence,
-)
+from .model import ObjectPattern, ghost_image_profile, kernel_from_turbulence, model_visibility
 
 __all__ = [
     "DetectorModel",
@@ -151,10 +146,11 @@ def expected_scan_rates(
     """Expected coincidence rate at each slit position.
 
     Both routes carry the two contrast ceilings, the system visibility g
-    and the object's intrinsic visibility v0.  ``analytic`` evaluates the
-    closed-form ghost image at fringe visibility v0 * fringe_visibility(g,
-    ...); ``kernel`` convolves the object, at contrast g * v0, with the
-    analytic Gaussian kernel of this path.  Square-wave patterns have no
+    and the object's intrinsic visibility v0, through ``model_visibility``.
+    ``analytic`` evaluates the closed-form ghost image at this path's
+    model visibility; ``kernel`` convolves the object, at the turbulence-free
+    contrast g * v0 (model visibility at alpha = d = 0), with the analytic
+    Gaussian kernel of this path.  Square-wave patterns have no
     closed-form image and always take the kernel route.  The slit
     top-hat is applied on a fine grid, and the result is scaled so the
     profile peak sits at the detector's peak rate, plus the background.
@@ -176,18 +172,11 @@ def expected_scan_rates(
     grid = lo + fine_dx * np.arange(n)
 
     if mode == "analytic" and pattern.form == "sinusoid":
-        d = path.effective_distance_mm
-        vis = pattern.intrinsic_visibility * fringe_visibility(
-            path.optics.system_visibility,
-            alpha_per_mm2,
-            d,
-            path.k,
-            pattern.fringe_wavenumber,
-        )
+        vis = model_visibility(path.optics, pattern, alpha_per_mm2, path.effective_distance_mm)
         profile = ImageProfile(grid, ghost_image_profile(grid, pattern, vis))
     elif mode in ("analytic", "kernel"):
         kern = kernel_from_turbulence(alpha_per_mm2, path.effective_distance_mm, path.k)
-        contrast = path.optics.system_visibility * pattern.intrinsic_visibility
+        contrast = model_visibility(path.optics, pattern, 0.0, 0.0)
         seen = replace(pattern, intrinsic_visibility=contrast)
         profile = synthesize_image(kern, seen, positions_mm=grid)
     else:

@@ -75,6 +75,7 @@ REMOVED = {
         valid=np.ones(1, dtype=bool)),
     "curve_crossing(lo_mm)": lambda: campaign.curve_crossing(2.0, K0, lo_mm=50.0),
     "curve_crossing(hi_mm)": lambda: campaign.curve_crossing(2.0, K0, hi_mm=329.0),
+    "wavenumber(wavelength_um)": lambda: model.wavenumber(wavelength_um=0.65),
 }
 
 
@@ -90,6 +91,7 @@ REMOVED_ATTRIBUTES = {
     "FitResult.visibility": lambda: fitting.fit_profile(X, PROFILE),
     "FitResult.visibility_error": lambda: fitting.fit_profile(X, PROFILE),
     "model.g2_kernel": lambda: model,
+    "campaign.model_curve": lambda: campaign,
     "OpticsConfig.image_arm_crystal_to_lens_mm": lambda: OpticsConfig(),
     "ImageProfile.truncation_warning": lambda: engine.synthesize_image(
         AnalyticKernel(0.0), ObjectPattern()

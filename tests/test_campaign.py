@@ -13,7 +13,7 @@ from turbghost.campaign import (
     write_campaign_csv,
     write_report_json,
 )
-from turbghost.config import load_config_dict
+from turbghost.config import bundled_config_path, load_config_dict, read_config_json
 from turbghost.model import fringe_wavenumber_from_cycles
 from turbghost.scan import read_scan_csv
 
@@ -32,6 +32,18 @@ GOLDEN_SHA256_SEED9 = {
     "fig4_curve.csv": "fac3d6a868664fc9d5ab27994249356c18714efb5559ee7411ca36e7ae74d669",
     "fig5_curve.csv": "61dd0ffc36140f557dbe3dae2e4bf14edf8fe874f539f099c047fd9829bbd3d1",
     "fig5_markers.csv": "cba94e5d1683da5f177eb2737241882673b64d309e2800a473197667e96bbf6f",
+}
+
+# sha256 of each bundled campaign report's model fields at master seed 9
+# (the curve, and each point's prediction and placement), recorded before
+# every prediction went through model_visibility; the fitted fields are
+# left out, since their last bits depend on LAPACK.
+MODEL_FIELDS = ("effective_distance_mm", "model_visibility", "placement",
+                "placement_distance_mm", "seed", "validity_ratio")
+GOLDEN_MODEL_SHA256_SEED9 = {
+    ("unshifted", 1.0): "f9d56e95189fec2a86098620b086ae6a13138e17f17bc8298e08c283cd2b4a5d",
+    ("shifted", 1.0): "c2e2e24ec353a828a7a94f534995775b24d63e9df2ff655976cc81b7a0d6860b",
+    ("shifted", 0.7): "8f89351217bb6f91d9b4cd0e34ab01ff5d7f10cd0a37c5a2e91672058e774a28",
 }
 
 
@@ -106,6 +118,17 @@ class TestRunCampaign:
         p = report.points[0]
         assert p.error is not None
         assert not p.converged
+
+    @pytest.mark.parametrize("tag, v0", sorted(GOLDEN_MODEL_SHA256_SEED9))
+    def test_model_fields_golden_sha256(self, tag, v0):
+        raw = read_config_json(bundled_config_path(f"paper_{tag}.json"))
+        raw["engine"]["master_seed"] = 9
+        raw["pattern"]["intrinsic_visibility"] = v0
+        doc = run_campaign(load_config_dict(raw)).to_json_dict()
+        model = {"curve": doc["curve"],
+                 "points": [{k: p[k] for k in MODEL_FIELDS} for p in doc["points"]]}
+        digest = hashlib.sha256(json.dumps(model, sort_keys=True).encode("ascii")).hexdigest()
+        assert digest == GOLDEN_MODEL_SHA256_SEED9[tag, v0]
 
     def test_programming_error_propagates(self, monkeypatch):
         def broken_fit(data):

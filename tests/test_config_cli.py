@@ -110,6 +110,23 @@ class TestConfigValidation:
         with pytest.raises(ConfigValueError, match="turbulence_sweep"):
             load_config(path)
 
+    def test_source_width_checked_at_load(self, tmp_path):
+        # Every sweep point's folded path is built at load, so a source
+        # envelope narrower than ~100/k is a config error, not a failure
+        # recorded at each point when the campaign runs.
+        path = minimal_config(tmp_path, engine={"source_width_mm": 0.001})
+        with pytest.raises(ConfigValueError, match=r"engine\.source_width_mm"):
+            load_config(path)
+
+    @pytest.mark.parametrize("command, output", [("campaign", "--output-dir"),
+                                                 ("simulate", "--output")])
+    def test_narrow_source_width_exits_config(self, tmp_path, capsys, command, output):
+        target = str(tmp_path if command == "campaign" else tmp_path / "scan.csv")
+        rc = main([command, "--set", "engine.source_width_mm=0.001", output, target])
+        assert rc == 2
+        assert "engine.source_width_mm" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
     def test_wrong_type_rejected(self, tmp_path):
         path = minimal_config(tmp_path, optics={"shift_mm": "zero"})
         with pytest.raises(ConfigSchemaError, match="shift_mm"):

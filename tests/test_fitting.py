@@ -240,6 +240,13 @@ class TestSlitCorrection:
         with pytest.raises(ValueError):
             slit_factor(K0, -0.01)
 
+    @pytest.mark.parametrize("k0", [0.0, -10.0, -200.0, -400.0])
+    def test_nonpositive_wavenumber_rejected(self, k0):
+        # Before the check: 0 divided by zero, and the negative values gave
+        # 0.993, a sign error and 0.124 in turn.
+        with pytest.raises(ValueError, match="k0 must be > 0"):
+            slit_factor(k0, 0.04)
+
 
 class TestInitialGuess:
     def test_guess_lands_near_truth(self):

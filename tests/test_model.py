@@ -19,6 +19,7 @@ from turbghost.model import (
     ghost_image_profile,
     kernel_from_turbulence,
     kernel_sigma,
+    model_visibility,
     validity_ratio,
     wavenumber,
 )
@@ -35,11 +36,6 @@ class TestWavenumber:
 
     def test_identity_case(self):
         assert wavenumber(wavelength_mm=2.0 * math.pi) == pytest.approx(1.0, rel=1e-15)
-
-    def test_unit_tags_agree(self):
-        assert wavenumber(wavelength_um=0.65) == pytest.approx(
-            wavenumber(wavelength_nm=650.0), rel=1e-14
-        )
 
     def test_pattern_wavenumber(self):
         assert K0 == pytest.approx(7.2 * math.pi, rel=1e-15)
@@ -213,6 +209,27 @@ class TestFringeVisibility:
             fringe_visibility(0.0, 2.0, 482.0, K_650, K0)
         with pytest.raises(ValueError):
             fringe_visibility(1.0, -2.0, 482.0, K_650, K0)
+
+
+class TestModelVisibility:
+    OPTICS = OpticsConfig(shift_mm=330.0, system_visibility=0.65)
+    PATTERN = ObjectPattern(intrinsic_visibility=0.7)
+
+    def test_scalar_is_v0_times_law(self):
+        v = model_visibility(self.OPTICS, self.PATTERN, 2.0, 152.0)
+        assert type(v) is float
+        assert v == 0.7 * fringe_visibility(0.65, 2.0, 152.0, K_650, K0)
+
+    def test_array_is_elementwise_law(self):
+        d = np.linspace(-100.0, 500.0, 13)
+        v = model_visibility(self.OPTICS, self.PATTERN, 2.0, d)
+        assert isinstance(v, np.ndarray) and v.shape == d.shape
+        assert v.tolist() == [0.7 * fringe_visibility(0.65, 2.0, di, K_650, K0) for di in d]
+
+    def test_no_turbulence_is_bare_contrast(self):
+        assert model_visibility(self.OPTICS, self.PATTERN, 0.0, 0.0) == 0.65 * 0.7
+        assert model_visibility(self.OPTICS, self.PATTERN, 2.0, 0.0) == 0.65 * 0.7
+        assert model_visibility(self.OPTICS, self.PATTERN, 0.0, 482.0) == 0.65 * 0.7
 
 
 class TestGhostImageProfile:
