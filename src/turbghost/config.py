@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from importlib import resources
 
@@ -140,6 +142,23 @@ def _boolean(node, path, key):
     return value
 
 
+@contextmanager
+def _naming_key(path, keys):
+    """Re-raise a model check's ValueError as a ConfigValueError naming its key.
+
+    The checks name their field ("slit_step_mm must not exceed
+    slit_width_mm"); the first such name that is part of one of ``keys``
+    gives the dotted key ``path.key``, else the error names ``path``.
+    """
+    try:
+        yield
+    except ValueError as exc:
+        named = [k for word in re.findall(r"[a-z0-9]+(?:_[a-z0-9]+)+", str(exc))
+                 for k in keys if word in k]
+        key = f"{path}.{named[0]}" if named else path
+        raise ConfigValueError(f"{key}: {exc}") from exc
+
+
 _READERS = {"float": _number, "int": _integer, "bool": _boolean, "str": _string}
 
 
@@ -156,14 +175,19 @@ def _build_section(cls, node, path):
         if f.name in node:
             reader = _READERS[getattr(f.type, "__name__", f.type)]
             kwargs[f.name] = reader(node, path, f.name, **f.metadata)
-    return cls(**kwargs)
+    with _naming_key(path, [f.name for f in fields(cls)]):
+        return cls(**kwargs)
+
+
+_PATTERN_KEYS = (
+    "envelope_width_mm", "fringe_cycles_per_mm", "fringe_wavenumber_rad_per_mm",
+    "form", "intrinsic_visibility",
+)
+_SWEEP_KEYS = ("placement", "l1_mm", "distance_from_object_mm", "alpha_per_mm2", "exponent")
 
 
 def _build_pattern(node):
-    node = _take(node, "pattern", {
-        "envelope_width_mm", "fringe_cycles_per_mm", "fringe_wavenumber_rad_per_mm",
-        "form", "intrinsic_visibility",
-    })
+    node = _take(node, "pattern", _PATTERN_KEYS)
     if "fringe_cycles_per_mm" in node and "fringe_wavenumber_rad_per_mm" in node:
         raise ConfigSchemaError(
             "pattern: give fringe_cycles_per_mm or fringe_wavenumber_rad_per_mm, not both"
@@ -174,7 +198,8 @@ def _build_pattern(node):
         kwargs["envelope_width_mm"] = width
     cycles = _number(node, "pattern", "fringe_cycles_per_mm")
     if cycles is not None:
-        kwargs["fringe_wavenumber"] = fringe_wavenumber_from_cycles(cycles)
+        with _naming_key("pattern", _PATTERN_KEYS):
+            kwargs["fringe_wavenumber"] = fringe_wavenumber_from_cycles(cycles)
     radians = _number(node, "pattern", "fringe_wavenumber_rad_per_mm")
     if radians is not None:
         kwargs["fringe_wavenumber"] = radians
@@ -184,13 +209,12 @@ def _build_pattern(node):
     vis = _number(node, "pattern", "intrinsic_visibility")
     if vis is not None:
         kwargs["intrinsic_visibility"] = vis
-    return ObjectPattern(**kwargs)
+    with _naming_key("pattern", _PATTERN_KEYS):
+        return ObjectPattern(**kwargs)
 
 
 def _build_sweep_point(node, path):
-    node = _take(node, path, {
-        "placement", "l1_mm", "distance_from_object_mm", "alpha_per_mm2", "exponent",
-    })
+    node = _take(node, path, _SWEEP_KEYS)
     placement = _string(node, path, "placement", choices={"crystal_side", "object_side"})
     if placement is None:
         raise ConfigSchemaError(f"{path}.placement: required key missing")
@@ -205,11 +229,13 @@ def _build_sweep_point(node, path):
         l1 = _number(node, path, "l1_mm", required=True)
         if "distance_from_object_mm" in node:
             raise ConfigSchemaError(f"{path}: crystal_side takes l1_mm, not distance_from_object_mm")
-        return TurbulenceSpec.crystal_side(alpha, l1, exponent=exponent)
+        with _naming_key(path, _SWEEP_KEYS):
+            return TurbulenceSpec.crystal_side(alpha, l1, exponent=exponent)
     dist = _number(node, path, "distance_from_object_mm", required=True)
     if "l1_mm" in node:
         raise ConfigSchemaError(f"{path}: object_side takes distance_from_object_mm, not l1_mm")
-    return TurbulenceSpec.object_side(alpha, dist, exponent=exponent)
+    with _naming_key(path, _SWEEP_KEYS):
+        return TurbulenceSpec.object_side(alpha, dist, exponent=exponent)
 
 
 _TOP_KEYS = {
@@ -226,31 +252,26 @@ def load_config_dict(raw):
         raise ConfigSchemaError(
             f"config.schema_version: expected {SCHEMA_VERSION}, got {version!r}"
         )
-    try:
-        optics = _build_section(OpticsConfig, raw.get("optics", {}), "optics")
-        pattern = _build_pattern(raw.get("pattern", {}))
-        detector = _build_section(DetectorModel, raw.get("detector", {}), "detector")
-        engine = _build_section(EngineSettings, raw.get("engine", {}), "engine")
-        sweep_node = raw.get("turbulence_sweep", [])
-        if not isinstance(sweep_node, list):
-            raise ConfigSchemaError("config.turbulence_sweep: expected a list")
-        sweep = tuple(
-            _build_sweep_point(entry, f"turbulence_sweep[{i}]")
-            for i, entry in enumerate(sweep_node)
-        )
-        # Each point's folded path checks its placement range and the source
-        # width against the optics; build them now, not at use time.
-        for i, spec in enumerate(sweep):
-            try:
-                KlyshkoPath(optics, spec, source_width_mm=engine.source_width_mm)
-            except ValueError as exc:
-                key = ("engine.source_width_mm" if "source_width_mm" in str(exc)
-                       else f"turbulence_sweep[{i}]")
-                raise ConfigValueError(f"{key}: {exc}") from exc
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigValueError(str(exc)) from exc
+    optics = _build_section(OpticsConfig, raw.get("optics", {}), "optics")
+    pattern = _build_pattern(raw.get("pattern", {}))
+    detector = _build_section(DetectorModel, raw.get("detector", {}), "detector")
+    engine = _build_section(EngineSettings, raw.get("engine", {}), "engine")
+    sweep_node = raw.get("turbulence_sweep", [])
+    if not isinstance(sweep_node, list):
+        raise ConfigSchemaError("config.turbulence_sweep: expected a list")
+    sweep = tuple(
+        _build_sweep_point(entry, f"turbulence_sweep[{i}]")
+        for i, entry in enumerate(sweep_node)
+    )
+    # Each point's folded path checks its placement range and the source
+    # width against the optics; build them now, not at use time.
+    for i, spec in enumerate(sweep):
+        try:
+            KlyshkoPath(optics, spec, source_width_mm=engine.source_width_mm)
+        except ValueError as exc:
+            key = ("engine.source_width_mm" if "source_width_mm" in str(exc)
+                   else f"turbulence_sweep[{i}]")
+            raise ConfigValueError(f"{key}: {exc}") from exc
     label = _string(raw, "config", "label", default="")
     output_dir = _string(raw, "config", "output_dir")
     return ExperimentConfig(optics, pattern, detector, sweep, engine, label, output_dir)

@@ -4,8 +4,9 @@ Scans are fit with a seven-parameter fringe model
 ``background + amplitude * exp(-((x-x0)/w)^2/2) * (1 + V cos(k0 (x-x0) + phi))``
 under Poisson weights (variance max(counts, 1)).  The optimizer is a
 bounded trust-region least-squares solver (damped Gauss-Newton steps with
-an internal reflective transform enforcing V in [0, 1]); standard errors
-come from the local curvature of the weighted objective at the solution.
+an internal reflective transform enforcing V in [0, 1]) driven by the
+model's closed-form Jacobian; standard errors come from the local
+curvature of the weighted objective, (J^T J)^-1 at the solution.
 
 Visibility-vs-distance campaigns are reduced to the turbulence strength
 ``alpha`` by weighted least squares of the attenuation law
@@ -122,33 +123,39 @@ def _moment_scales(x, y):
     return c0, w0
 
 
-def _envelope_grid_fit(x, y, c0, w0, k0=None):
+def _envelope_grid(x, c0, w0):
+    """Centers, widths and envelopes of the 15 grid candidates, centers outermost."""
+    centers = c0 + w0 * np.repeat([-0.5, 0.0, 0.5], 5)
+    widths = w0 * np.tile([0.6, 1.0, 1.5, 2.25, 3.4], 3)
+    env = np.exp(-0.5 * ((x - centers[:, None]) / widths[:, None]) ** 2)
+    return centers, widths, env
+
+
+def _envelope_grid_fit(x, y, grid, k0=None):
     """Pick envelope shape by grid search, coefficients by linear solve.
 
-    For each candidate (center, width) the remaining parameters are a
-    plain linear least-squares problem: [env, 1] when fringe-blind, plus
-    the envelope-weighted fringe quadratures when ``k0`` is known.  The
-    grid avoids the degenerate flat-envelope corner a free nonlinear
-    prefit can wander into, and is fully deterministic.
+    For each candidate (center, width) of ``grid`` the remaining
+    parameters are a plain linear least-squares problem, solved for all
+    candidates in one stacked pseudo-inverse: [env, 1] when fringe-blind,
+    plus the envelope-weighted fringe quadratures when ``k0`` is known.
+    Candidates with non-finite coefficients or a non-positive amplitude
+    are skipped; the first lowest cost wins.  The grid avoids the
+    degenerate flat-envelope corner a free nonlinear prefit can wander
+    into, and is fully deterministic.
     """
-    best = None
-    for c in (c0 - 0.5 * w0, c0, c0 + 0.5 * w0):
-        for w in (0.6 * w0, w0, 1.5 * w0, 2.25 * w0, 3.4 * w0):
-            env = np.exp(-0.5 * ((x - c) / w) ** 2)
-            cols = [env, np.ones_like(x)]
-            if k0 is not None:
-                cols.insert(1, env * np.cos(k0 * (x - c)))
-                cols.insert(2, env * np.sin(k0 * (x - c)))
-            basis = np.column_stack(cols)
-            coef, *_ = np.linalg.lstsq(basis, y, rcond=None)
-            if not np.isfinite(coef).all() or coef[0] <= 0:
-                continue
-            cost = float(np.sum((basis @ coef - y) ** 2))
-            if best is None or cost < best[0]:
-                best = (cost, c, w, coef)
-    if best is None:
+    centers, widths, env = grid
+    cols = [env, np.ones_like(env)]
+    if k0 is not None:
+        phase = k0 * (x - centers[:, None])
+        cols[1:1] = [env * np.cos(phase), env * np.sin(phase)]
+    basis = np.stack(cols, axis=-1)
+    coef = np.linalg.pinv(basis) @ y
+    cost = np.sum(((basis @ coef[..., None])[..., 0] - y) ** 2, axis=1)
+    ok = np.flatnonzero(np.isfinite(coef).all(axis=1) & (coef[:, 0] > 0))
+    if ok.size == 0:
         raise ValueError("profile has no envelope-like structure")
-    return best[1], best[2], best[3]
+    i = ok[np.argmin(cost[ok])]
+    return float(centers[i]), float(widths[i]), coef[i]
 
 
 def _residual_fringe_guess(residual, step):
@@ -187,13 +194,14 @@ def initial_guess(positions_mm, rates_cps):
     step = float(np.mean(np.diff(x)))
     # Fringe-blind pass isolates the slow structure; its residual carries
     # the fringe for the spectral stage.
-    center, width, coef = _envelope_grid_fit(x, y, c0, w0)
+    grid = _envelope_grid(x, c0, w0)
+    center, width, coef = _envelope_grid_fit(x, y, grid)
     env = np.exp(-0.5 * ((x - center) / width) ** 2)
     residual = y - (coef[0] * env + coef[1])
     k0 = _residual_fringe_guess(residual, step)
     # Joint pass with the fringe quadratures:
     # y ~ bg + a*env + (a V cos phi)*env*cos - (a V sin phi)*env*sin.
-    center, width, coef = _envelope_grid_fit(x, y, c0, w0, k0=k0)
+    center, width, coef = _envelope_grid_fit(x, y, grid, k0=k0)
     amplitude, q_cos, q_sin, bg = (float(v) for v in coef)
     fringe_amp = math.hypot(q_cos, q_sin)
     phase = math.atan2(-q_sin, q_cos)
@@ -212,6 +220,7 @@ def _fit_core(x, y, sig, scale, init):
     from scipy.optimize import least_squares
 
     p0 = np.clip(init.to_vector(), _PARAM_LO, _PARAM_HI)
+    weight = (scale / sig)[:, None]
 
     def resid(p):
         return (scale * _evaluate_vector(p, x) - y) / sig
@@ -219,6 +228,7 @@ def _fit_core(x, y, sig, scale, init):
     sol = least_squares(
         resid,
         p0,
+        jac=lambda p: weight * _model_jacobian(p, x),
         bounds=(_PARAM_LO, _PARAM_HI),
         method="trf",
         ftol=OBJECTIVE_TOL,
@@ -228,7 +238,7 @@ def _fit_core(x, y, sig, scale, init):
     )
     dof = max(x.size - len(p0), 1)
     red_chi2 = float(2.0 * sol.cost / dof)
-    # d(residual)/d(param) = scale/sig * d(model)/d(param); curvature carries the weights.
+    # sol.jac is the exact weighted Jacobian at the solution.
     errors = _curvature_errors(sol.jac)
     converged = bool(sol.success)
     model = None
@@ -264,6 +274,26 @@ def _evaluate_vector(p, x):
     amp, x0, w, k0, phi, vis, bg = p
     u = x - x0
     return bg + amp * np.exp(-0.5 * (u / w) ** 2) * (1.0 + vis * np.cos(k0 * u + phi))
+
+
+def _model_jacobian(p, x):
+    """Closed-form d(model)/d(p) of ``_evaluate_vector``, shape (len(x), 7)."""
+    amp, x0, w, k0, phi, vis, bg = p
+    u = x - x0
+    env = np.exp(-0.5 * (u / w) ** 2)
+    cos, sin = np.cos(k0 * u + phi), np.sin(k0 * u + phi)
+    shape = env * (1.0 + vis * cos)
+    d_phase = -amp * vis * env * sin
+    d_shape = amp * shape / w**2
+    return np.column_stack([
+        shape,
+        d_shape * u - k0 * d_phase,
+        d_shape * u**2 / w,
+        d_phase * u,
+        d_phase,
+        amp * env * cos,
+        np.ones_like(u),
+    ])
 
 
 def _curvature_errors(jac):

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -126,6 +127,27 @@ class TestConfigValidation:
         assert rc == 2
         assert "engine.source_width_mm" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("override, key", [
+        ("engine.source_width_mm=0", "engine.source_width_mm"),
+        ("engine.scan_points=1", "engine.scan_points"),
+        ("optics.system_visibility=0", "optics.system_visibility"),
+        ("optics.shift_mm=1200", "optics.shift_mm"),
+        ("detector.slit_step_mm=0.1", "detector.slit_step_mm"),
+        ("pattern.envelope_width_mm=0", "pattern.envelope_width_mm"),
+        ("pattern.fringe_cycles_per_mm=0", "pattern.fringe_cycles_per_mm"),
+        ("pattern.fringe_wavenumber_rad_per_mm=-1", "pattern.fringe_wavenumber_rad_per_mm"),
+        ("pattern.intrinsic_visibility=2", "pattern.intrinsic_visibility"),
+        ('turbulence_sweep=[{"placement": "crystal_side", "l1_mm": 482, "alpha_per_mm2": -1}]',
+         "turbulence_sweep[0].alpha_per_mm2"),
+    ])
+    def test_model_check_names_its_key(self, tmp_path, capsys, override, key):
+        out = tmp_path / "scan.csv"
+        rc = main(["simulate", "--config", str(minimal_config(tmp_path)), "--set", override,
+                   "--output", str(out)])
+        assert rc == 2
+        assert f"configuration error: {key}: " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_wrong_type_rejected(self, tmp_path):
         path = minimal_config(tmp_path, optics={"shift_mm": "zero"})
@@ -418,6 +440,12 @@ class TestCLI:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == f"turbghost {turbghost.__version__}"
+
+    def test_version_matches_pyproject(self):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "pyproject.toml"), encoding="utf-8") as fh:
+            declared = re.search(r'^version = "([^"]+)"$', fh.read(), re.M).group(1)
+        assert declared == turbghost.__version__
 
     def test_fit_nonconvergent_exit_code(self, tmp_path, capsys):
         p = tmp_path / "zeros.csv"

@@ -1,11 +1,22 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
+from turbghost import fitting
 from turbghost.engine import KlyshkoPath
 from turbghost.fitting import (
+    MAX_ITERATIONS,
+    OBJECTIVE_TOL,
     ScanFitModel,
+    _PARAM_HI,
+    _PARAM_LO,
+    _envelope_grid,
+    _envelope_grid_fit,
+    _evaluate_vector,
+    _model_jacobian,
+    _moment_scales,
     fit_alpha,
     fit_profile,
     fit_scan,
@@ -21,7 +32,9 @@ from turbghost.model import (
     fringe_visibility,
     fringe_wavenumber_from_cycles,
 )
-from turbghost.scan import DetectorModel, ScanData, simulate_scan
+from turbghost.scan import DetectorModel, ScanData, read_scan_csv, simulate_scan
+
+FIXTURE = os.path.join(os.path.dirname(__file__), "data", "fixture_scan_seed424242.csv")
 
 K = OpticsConfig().k
 K0 = fringe_wavenumber_from_cycles(3.6)
@@ -41,6 +54,24 @@ def truth_scan(model=TRUTH, duration=1e5, n=161, span=0.8):
     x = np.linspace(-span / 2, span / 2, n)
     counts = np.rint(model.evaluate(x) * duration).astype(np.int64)
     return ScanData(x, counts, np.full_like(x, duration))
+
+
+def seeded_scans(n):
+    """Seeded Poisson scans, alternating unshifted and shifted optics."""
+    unshifted = KlyshkoPath(OpticsConfig(), TurbulenceSpec.crystal_side(2.0, 482.0))
+    shifted = KlyshkoPath(
+        OpticsConfig(shift_mm=330.0, system_visibility=0.65),
+        TurbulenceSpec.crystal_side(2.0, 482.0),
+        source_width_mm=12.0,
+    )
+    scans = []
+    for seed in range(n):
+        if seed % 2:
+            scans.append(simulate_scan(shifted, 2.0, ObjectPattern(),
+                                       DetectorModel(peak_rate_cps=50.0), seed=seed))
+        else:
+            scans.append(simulate_scan(unshifted, 2.0, ObjectPattern(), DetectorModel(), seed=seed))
+    return scans
 
 
 class TestFitProfile:
@@ -260,3 +291,126 @@ class TestInitialGuess:
         x = np.linspace(-0.4, 0.4, 20)
         with pytest.raises(ValueError):
             initial_guess(x, np.zeros_like(x))
+
+
+class TestJacobian:
+    @pytest.mark.parametrize("vector", [
+        TRUTH.to_vector(),
+        [50.0, 0.01, 0.4, K0, 0.3, 0.0, 2.0],    # V = 0
+        [50.0, 0.01, 0.4, K0, -2.0, 1.0, 2.0],   # V = 1
+        [80.0, 0.3, 0.25, K0, 1.1, 0.4, 0.0],    # off-centre envelope
+        [20.0, -0.05, 5.0, K0, 0.7, 0.2, 10.0],  # envelope far wider than the scan
+    ])
+    def test_matches_central_difference(self, vector):
+        x = np.linspace(-0.4, 0.4, 161)
+        p = np.asarray(vector, dtype=float)
+        jac = _model_jacobian(p, x)
+        assert jac.shape == (x.size, 7)
+        for j in range(7):
+            step = np.zeros(7)
+            step[j] = 1e-6 * max(abs(p[j]), 1.0)
+            numeric = (_evaluate_vector(p + step, x) - _evaluate_vector(p - step, x)) / (
+                2.0 * step[j]
+            )
+            assert np.abs(jac[:, j] - numeric).max() <= 1e-6 * np.abs(numeric).max()
+
+    def test_fit_makes_no_hidden_model_evaluations(self, monkeypatch):
+        # Every model evaluation is one the optimizer counts: a
+        # finite-difference Jacobian would add evaluations beyond nfev.
+        data = truth_scan()
+        calls = []
+
+        def counting(p, x):
+            calls.append(1)
+            return _evaluate_vector(p, x)
+
+        monkeypatch.setattr(fitting, "_evaluate_vector", counting)
+        result = fit_scan(data)
+        assert result.converged
+        assert len(calls) == result.n_evaluations
+
+
+def loop_grid_fit(x, y, c0, w0, k0=None):
+    """The grid search as one least-squares solve per candidate, in grid order."""
+    best = None
+    for c in (c0 - 0.5 * w0, c0, c0 + 0.5 * w0):
+        for w in (0.6 * w0, w0, 1.5 * w0, 2.25 * w0, 3.4 * w0):
+            env = np.exp(-0.5 * ((x - c) / w) ** 2)
+            cols = [env, np.ones_like(x)]
+            if k0 is not None:
+                cols.insert(1, env * np.cos(k0 * (x - c)))
+                cols.insert(2, env * np.sin(k0 * (x - c)))
+            basis = np.column_stack(cols)
+            coef, *_ = np.linalg.lstsq(basis, y, rcond=None)
+            if not np.isfinite(coef).all() or coef[0] <= 0:
+                continue
+            cost = float(np.sum((basis @ coef - y) ** 2))
+            if best is None or cost < best[0]:
+                best = (cost, c, w, coef)
+    if best is None:
+        raise ValueError("profile has no envelope-like structure")
+    return best[1], best[2], best[3]
+
+
+class TestEnvelopeGridFit:
+    @staticmethod
+    def profiles():
+        x = np.linspace(-0.4, 0.4, 161)
+        fixture = read_scan_csv(FIXTURE)
+        yield x, TRUTH.evaluate(x)
+        yield fixture.positions_mm, fixture.rates_cps
+        for data in seeded_scans(20):
+            yield data.positions_mm, data.rates_cps
+
+    def test_stacked_solve_matches_candidate_loop(self):
+        for x, y in self.profiles():
+            c0, w0 = _moment_scales(x, y)
+            grid = _envelope_grid(x, c0, w0)
+            for k0 in (None, initial_guess(x, y).fringe_wavenumber):
+                center, width, coef = _envelope_grid_fit(x, y, grid, k0=k0)
+                ref_center, ref_width, ref_coef = loop_grid_fit(x, y, c0, w0, k0=k0)
+                assert (center, width) == (ref_center, ref_width)
+                np.testing.assert_allclose(
+                    coef, ref_coef, rtol=1e-9, atol=1e-9 * np.abs(ref_coef).max()
+                )
+
+    def test_no_envelope_rejected(self):
+        # A dip: every candidate's envelope amplitude comes out negative.
+        x = np.linspace(-0.4, 0.4, 40)
+        y = 10.0 - 5.0 * np.exp(-0.5 * (x / 0.1) ** 2)
+        c0, w0 = _moment_scales(x, y)
+        with pytest.raises(ValueError, match="no envelope-like structure"):
+            loop_grid_fit(x, y, c0, w0)
+        with pytest.raises(ValueError, match="no envelope-like structure"):
+            _envelope_grid_fit(x, y, _envelope_grid(x, c0, w0))
+
+
+def reference_fit(data):
+    """fit_scan's residual, bounds and tolerances with scipy's 2-point Jacobian."""
+    from scipy.optimize import least_squares
+
+    init = initial_guess(data.positions_mm, data.rates_cps)
+    counts = data.counts.astype(float)
+    sig = np.sqrt(np.maximum(counts, 1.0))
+    sol = least_squares(
+        lambda p: (data.durations_s * _evaluate_vector(p, data.positions_mm) - counts) / sig,
+        np.clip(init.to_vector(), _PARAM_LO, _PARAM_HI),
+        bounds=(_PARAM_LO, _PARAM_HI),
+        method="trf",
+        ftol=OBJECTIVE_TOL,
+        xtol=1e-12,
+        gtol=1e-12,
+        max_nfev=MAX_ITERATIONS * 8,
+    )
+    cov = np.linalg.pinv(sol.jac.T @ sol.jac)
+    return sol.x[5], math.sqrt(cov[5, 5])
+
+
+class TestSameOptimum:
+    def test_analytic_jacobian_finds_the_finite_difference_optimum(self):
+        for data in seeded_scans(30):
+            result = fit_scan(data)
+            v_ref, sigma_ref = reference_fit(data)
+            assert result.converged
+            assert abs(result.model.visibility - v_ref) <= 1e-5
+            assert result.errors["visibility"] == pytest.approx(sigma_ref, rel=1e-4)
