@@ -63,7 +63,12 @@ def _apply_overrides(raw, overrides):
             if key not in node or not isinstance(node[key], dict):
                 node[key] = {}
             node = node[key]
-        node[keys[-1]] = json.loads(text)
+        value = json.loads(text)
+        if value is None:
+            # null removes the key, so its default or an alternative key applies.
+            node.pop(keys[-1], None)
+        else:
+            node[keys[-1]] = value
     return raw
 
 

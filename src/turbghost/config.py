@@ -191,6 +191,7 @@ def _build_pattern(node):
     if "fringe_cycles_per_mm" in node and "fringe_wavenumber_rad_per_mm" in node:
         raise ConfigSchemaError(
             "pattern: give fringe_cycles_per_mm or fringe_wavenumber_rad_per_mm, not both"
+            " (on the command line, --set pattern.<key>=null removes one)"
         )
     kwargs = {}
     width = _number(node, "pattern", "envelope_width_mm")

@@ -13,8 +13,13 @@ Reproducibility contract: the screen at (master_seed, index) is a pure
 function of those two integers.  Per-screen generators are seeded with
 ``numpy.random.SeedSequence((master_seed, index))``, so ensembles can be
 generated in any order, in chunks, or in parallel and always agree
-bit-for-bit.  A power-law ensemble builds its spectral basis once and
-shares it, so its screen i equals the single screen drawn from the same seed.
+bit-for-bit.  ``screen_rng`` builds that SeedSequence itself.  The
+ensembles (``tilt_slopes``, ``ScreenEnsemble``) run numpy's SeedSequence
+algorithm across a block of indices at once and hand each row of PCG64
+seed words to ``numpy.random.PCG64``; the generators are the same, bit for
+bit, without one SeedSequence object per screen.  A power-law ensemble
+builds its spectral basis once and shares it, so its screen i equals the
+single screen drawn from the same seed.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 __all__ = [
     "TiltScreen",
@@ -47,6 +53,96 @@ MODES_PER_DECADE = 48
 def screen_rng(master_seed, index):
     """Deterministic per-screen generator, independent of generation order."""
     return np.random.default_rng(np.random.SeedSequence((int(master_seed), int(index))))
+
+
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx): a pool of
+# four uint32 words, hashmix constants A (entropy mixing) and B (output).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
+# Indices seeded per numpy pass; bounds the transient arrays, whatever n is.
+_SEED_BLOCK = 4096
+
+
+class _StateWords(ISeedSequence):
+    """One precomputed ``SeedSequence.generate_state(4, np.uint64)`` row.
+
+    PCG64 asks its seed sequence for exactly that request and seeds itself
+    from the returned words in its own C code; any other request is refused.
+    """
+
+    __slots__ = ("_words",)
+
+    def __init__(self, words):
+        self._words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"only generate_state(4, uint64) is precomputed, got ({n_words}, {dtype})")
+        return self._words
+
+
+def _hashmixer(const, mult):
+    """numpy's hashmix on uint32 arrays, with its running constant: xor the
+    value with the constant, step the constant, multiply by the new one."""
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+    return hashmix
+
+
+def _mix(x, y):
+    r = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+    return r ^ (r >> np.uint32(16))
+
+
+def _pcg64_seed_words(master_words, index):
+    """``SeedSequence((master, i)).generate_state(4, np.uint64)`` for each i in ``index``.
+
+    ``master_words`` are the master's little-endian uint32 entropy words and
+    ``index`` a uint32 array; row j of the (len(index), 4) result seeds screen
+    ``index[j]``.  This is numpy's algorithm run across all rows at once, in
+    the same wrapping uint32 arithmetic.
+    """
+    entropy = [np.full_like(index, w) for w in master_words] + [index]
+    entropy += [np.zeros_like(index)] * (_POOL_SIZE - len(entropy))
+    hashmix = _hashmixer(_INIT_A, _MULT_A)
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    hashmix = _hashmixer(_INIT_B, _MULT_B)
+    state = [hashmix(pool[i % _POOL_SIZE]) for i in range(8)]
+    # uint32 words pair into uint64s little-endian first, as numpy does.
+    return np.stack(state, axis=1).astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _screen_rngs(master_seed, n_screens):
+    """Yield ``screen_rng(master_seed, i)``'s generator for i in 0..n-1, bit for bit.
+
+    The PCG64 seed words of a block of indices come from one vectorised
+    pass of numpy's SeedSequence algorithm; each row seeds a PCG64 through
+    ``_StateWords``.  This skips building a SeedSequence per screen, which
+    is most of the cost of a small draw.
+    """
+    master, n = int(master_seed), int(n_screens)
+    if master < 0:
+        raise ValueError("master_seed must be >= 0")
+    # An index past 2**32 - 1 would need a second entropy word; arange refuses it.
+    master_words = [(master >> s) & _MASK32 for s in range(0, max(master.bit_length(), 1), 32)]
+    for start in range(0, n, _SEED_BLOCK):
+        index = np.arange(start, min(start + _SEED_BLOCK, n), dtype=np.uint32)
+        for words in _pcg64_seed_words(master_words, index):
+            yield np.random.Generator(np.random.PCG64(_StateWords(words)))
 
 
 @dataclass(frozen=True)
@@ -182,18 +278,15 @@ class ScreenEnsemble:
     def powerlaw(cls, alpha, p, grid_mm, n_screens, master_seed):
         if n_screens < 1:
             raise ValueError("n_screens must be >= 1")
-        rngs = (screen_rng(master_seed, i) for i in range(n_screens))
-        return cls(_powerlaw_screens(alpha, p, grid_mm, rngs))
+        return cls(_powerlaw_screens(alpha, p, grid_mm, _screen_rngs(master_seed, n_screens)))
 
 
 def tilt_slopes(alpha_per_mm2, n_screens, master_seed):
-    """Slopes ~ Normal(0, alpha) of tilt screens 0..n-1, each drawn from screen_rng."""
+    """Slopes ~ Normal(0, alpha) of tilt screens 0..n-1, screen i drawn from screen_rng(master, i)."""
     if alpha_per_mm2 < 0:
         raise ValueError("alpha_per_mm2 must be >= 0")
     scale = math.sqrt(alpha_per_mm2)
-    return np.array(
-        [screen_rng(master_seed, i).standard_normal() * scale for i in range(int(n_screens))]
-    )
+    return np.array([rng.standard_normal() * scale for rng in _screen_rngs(master_seed, n_screens)])
 
 
 @dataclass(frozen=True)

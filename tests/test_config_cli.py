@@ -149,6 +149,29 @@ class TestConfigValidation:
         assert f"configuration error: {key}: " in capsys.readouterr().err
         assert not out.exists()
 
+    def test_null_override_removes_a_key(self, tmp_path):
+        # The bundled config gives fringe_cycles_per_mm; removing it lets the
+        # radian spelling of the fringe wavenumber replace it.
+        out = tmp_path / "scan.csv"
+        rc = main(["simulate", "--set", "pattern.fringe_cycles_per_mm=null",
+                   "--set", "pattern.fringe_wavenumber_rad_per_mm=20", "--output", str(out)])
+        assert rc == 0
+        assert out.exists()
+
+    def test_both_wavenumber_spellings_name_the_null_override(self, tmp_path, capsys):
+        out = tmp_path / "scan.csv"
+        rc = main(["simulate", "--set", "pattern.fringe_wavenumber_rad_per_mm=20", "--output", str(out)])
+        assert rc == 2
+        assert "--set pattern.<key>=null" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_null_override_of_required_key_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "scan.csv"
+        rc = main(["simulate", "--set", "schema_version=null", "--output", str(out)])
+        assert rc == 2
+        assert "configuration error: config.schema_version: " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_wrong_type_rejected(self, tmp_path):
         path = minimal_config(tmp_path, optics={"shift_mm": "zero"})
         with pytest.raises(ConfigSchemaError, match="shift_mm"):

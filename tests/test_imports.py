@@ -47,7 +47,9 @@ def cli(argv):
     cli(["--version"]),
     "from turbghost.config import bundled_config_path, load_config\n"
     "load_config(bundled_config_path('paper_unshifted.json'))",
-], ids=["import", "analytic", "analytic-curve", "simulate", "kernel-analytic", "version", "load_config"])
+    "from turbghost.screens import tilt_slopes\ntilt_slopes(2.0, 5000, 7)",
+], ids=["import", "analytic", "analytic-curve", "simulate", "kernel-analytic", "version", "load_config",
+        "tilt-slopes"])
 def test_command_loads_no_scipy(code, tmp_path):
     assert scipy_modules_after(code, tmp_path) == []
 

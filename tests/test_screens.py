@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from turbghost import screens
 from turbghost.screens import (
     GriddedScreen,
     ScreenEnsemble,
@@ -56,6 +59,10 @@ class TestTiltScreens:
             screen_rng(MASTER, 3).standard_normal()
             == screen_rng(MASTER, 3).standard_normal()
         )
+
+    def test_screen_rng_spawns(self):
+        children = screen_rng(MASTER, 3).spawn(2)
+        assert children[0].standard_normal() != children[1].standard_normal()
 
 
 class TestMutualCoherence:
@@ -230,3 +237,63 @@ class TestPowerlawScreens:
             single = sample_powerlaw_screen(1.3, p, grid, np.random.SeedSequence((MASTER, i)))
             np.testing.assert_array_equal(screen.phase_rad, single.phase_rad)
 
+
+
+def reference_draws(master, n):
+    """First normal and the five after it from numpy's own SeedSequence((master, i))."""
+    rngs = (np.random.default_rng(np.random.SeedSequence((master, i))) for i in range(n))
+    return [(rng.standard_normal(), rng.standard_normal(5).tolist()) for rng in rngs]
+
+
+def block_draws(master, n):
+    return [(rng.standard_normal(), rng.standard_normal(5).tolist())
+            for rng in screens._screen_rngs(master, n)]
+
+
+class TestBlockSeeding:
+    """Per-screen generators seeded in blocks carry numpy's SeedSequence((master, i))
+    PCG64 state: the draws after the first one must agree too."""
+
+    @pytest.mark.parametrize("master", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**127, MASTER])
+    @pytest.mark.parametrize("n", [1, screens._SEED_BLOCK + 3])
+    def test_matches_seed_sequence(self, master, n):
+        assert block_draws(master, n) == reference_draws(master, n)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**128 - 1), st.integers(1, 200))
+    def test_matches_seed_sequence_property(self, master, n):
+        assert block_draws(master, n) == reference_draws(master, n)
+
+    def test_negative_master_rejected_like_seed_sequence(self):
+        with pytest.raises(ValueError):
+            np.random.SeedSequence((-1, 0))
+        with pytest.raises(ValueError):
+            block_draws(-1, 3)
+        with pytest.raises(ValueError):
+            tilt_slopes(2.0, 3, -1)
+
+    def test_state_words_serve_only_pcg64s_request(self):
+        words = np.random.SeedSequence((MASTER, 0)).generate_state(4, np.uint64)
+        seq = screens._StateWords(words)
+        out = seq.generate_state(4, np.uint64)
+        assert out.dtype == np.uint64 and out.flags.c_contiguous
+        for n_words, dtype in ((4, np.uint32), (8, np.uint32), (2, np.uint64), (5, np.uint64)):
+            with pytest.raises(ValueError):
+                seq.generate_state(n_words, dtype)
+
+    def test_ensembles_build_no_seed_sequence(self, monkeypatch):
+        # A return to one SeedSequence per screen index fails here.
+        made = []
+        real = np.random.SeedSequence
+
+        def counting(*args, **kwargs):
+            made.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "SeedSequence", counting)
+        screen_rng(MASTER, 0)
+        assert len(made) == 1  # the wrapper sees the per-index path
+        made.clear()
+        tilt_slopes(2.0, 5000, MASTER)
+        ScreenEnsemble.powerlaw(1.0, 1.2, np.arange(32) * 0.05, 300, MASTER)
+        assert made == []
