@@ -19,7 +19,6 @@ from .model import (  # noqa: F401
     effective_distance,
     fringe_visibility,
     fringe_wavenumber_from_cycles,
-    ghost_image_profile,
     kernel_from_turbulence,
     kernel_sigma,
     model_visibility,

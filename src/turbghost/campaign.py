@@ -139,7 +139,7 @@ def _scan(config: ExperimentConfig, spec: TurbulenceSpec, seed):
                          n_positions=eng.scan_points, center_mm=eng.scan_center_mm, mode=eng.mode)
 
 
-def _run_point(config: ExperimentConfig, index, spec: TurbulenceSpec):
+def _run_point(config: ExperimentConfig, index, spec: TurbulenceSpec, factor):
     optics, pattern = config.optics, config.pattern
     d = effective_distance(spec, optics)
     ratio = validity_ratio(d, spec.alpha_per_mm2, optics.k, pattern.envelope_width_mm)
@@ -161,7 +161,6 @@ def _run_point(config: ExperimentConfig, index, spec: TurbulenceSpec):
         result = fit_scan(_scan(config, spec, seed))
         if not result.converged:
             return CampaignPoint(**base, error=f"fit failed: {result.message}")
-        factor = slit_factor(pattern.fringe_wavenumber, config.detector.slit_width_mm)
         sigma = result.errors.get("visibility", float("nan"))
         return CampaignPoint(
             **base,
@@ -178,10 +177,15 @@ def _run_point(config: ExperimentConfig, index, spec: TurbulenceSpec):
 
 
 def run_campaign(config: ExperimentConfig):
-    """Simulate and fit every sweep point; deterministic per master seed."""
+    """Simulate and fit every sweep point; deterministic per master seed.
+    A slit too wide for the fringe is a ConfigValueError before any point runs."""
     start = time.perf_counter()
+    try:
+        factor = slit_factor(config.pattern.fringe_wavenumber, config.detector.slit_width_mm)
+    except ValueError as exc:
+        raise ConfigValueError(f"detector.slit_width_mm: {exc}") from exc
     specs = list(config.sweep)
-    points = [_run_point(config, i, spec) for i, spec in enumerate(specs)]
+    points = [_run_point(config, i, spec, factor) for i, spec in enumerate(specs)]
     if specs:
         dmax = max(abs(p.effective_distance_mm) for p in points)
         curve_d = np.linspace(0.0, max(dmax, 1.0), 101)

@@ -360,18 +360,21 @@ def synthesize_image(kernel, pattern: ObjectPattern, positions_mm=None):
 
     The kernel is normalized as a density so an ideal kernel returns the
     object exactly and fitting the result against the fringe model is
-    well-posed.  The default grid spans 8 envelope widths.
+    well-posed.  The default grid spans 8 envelope widths and resolves the
+    kernel: a Gaussian is read to 5 sigma at sigma / 6, a sampled kernel to
+    its outermost offset (``value`` is 0 beyond) at its offset spacing.
     """
     w = pattern.envelope_width_mm
     period = 2.0 * math.pi / pattern.fringe_wavenumber
     if isinstance(kernel, AnalyticKernel):
-        sigma = kernel.sigma_mm
+        reach, resolution = 5.0 * kernel.sigma_mm, kernel.sigma_mm / 6.0
     else:
-        sigma = max(fit_kernel_sigma(kernel), kernel.offsets_mm[1] - kernel.offsets_mm[0])
+        x = kernel.offsets_mm
+        reach, resolution = max(-x[0], x[-1]), float(np.diff(x).min())
     if positions_mm is None:
         dx_mm = min(period / 40.0, w / 50.0)
-        if sigma > 0:
-            dx_mm = min(dx_mm, sigma / 6.0)
+        if resolution > 0:
+            dx_mm = min(dx_mm, resolution)
         half = 4.0 * w
         n = int(math.ceil(2.0 * half / dx_mm)) | 1
         positions_mm = (np.arange(n) - n // 2) * dx_mm
@@ -383,7 +386,7 @@ def synthesize_image(kernel, pattern: ObjectPattern, positions_mm=None):
     step = positions[1] - positions[0]
     if not np.allclose(np.diff(positions), step, rtol=1e-9, atol=0.0):
         raise ValueError("positions must be uniformly spaced")
-    half_k = max(5.0 * sigma, 3.0 * step)
+    half_k = max(reach, 3.0 * step)
     m = int(math.ceil(half_k / step))
     kx = np.arange(-m, m + 1) * step
     kv = kernel.value(kx)

@@ -311,9 +311,10 @@ def fit_scan(data: ScanData):
 
     The fit runs in counts space, so heterogeneous dwell times weigh in
     correctly: residuals are (counts - duration * rate_model) / sqrt(max(counts, 1)).
-    Requires at least 10 points spanning at least two fringe periods of
-    the estimated wavenumber.  All-zero counts or a stalled
-    optimizer yield an explicit non-converged result.
+    Fewer than 10 points raise ValueError.  All-zero counts, a failed
+    start point, a scan spanning fewer than two fringe periods of the
+    estimated wavenumber, or a stalled optimizer yield an explicit
+    non-converged result.
     """
     if len(data) < 10:
         raise ValueError("need at least 10 scan points")
@@ -325,7 +326,8 @@ def fit_scan(data: ScanData):
         return FitResult(None, {}, float("nan"), False, 0, f"initialization failed: {exc}")
     span = data.positions_mm[-1] - data.positions_mm[0]
     if span * init.fringe_wavenumber < 2.0 * 2.0 * math.pi:
-        raise ValueError("scan must span at least two fringe periods")
+        return FitResult(None, {}, float("nan"), False, 0,
+                         "degenerate data: scan spans fewer than two fringe periods")
     counts = data.counts.astype(float)
     return _fit_core(
         data.positions_mm, counts, np.sqrt(np.maximum(counts, 1.0)), data.durations_s, init

@@ -35,7 +35,6 @@ __all__ = [
     "kernel_from_turbulence",
     "fringe_visibility",
     "model_visibility",
-    "ghost_image_profile",
     "validity_ratio",
 ]
 
@@ -225,8 +224,12 @@ class ObjectPattern:
         return c
 
     def evaluate(self, x):
-        """Transmission profile at position x (mm)."""
-        return ghost_image_profile(x, self, self.intrinsic_visibility)
+        """Transmission ``exp(-(x/w)^2/2) * (1 + v0 * fringe(x))`` at position x (mm).
+        The ghost image at visibility V is ``replace(pattern, intrinsic_visibility=V).evaluate(x)``."""
+        x = np.asarray(x, dtype=float)
+        w = self.envelope_width_mm
+        out = np.exp(-0.5 * (x / w) ** 2) * (1.0 + self.intrinsic_visibility * self.fringe(x))
+        return out if out.ndim else float(out)
 
 
 def kernel_sigma(alpha_per_mm2, distance_mm, k):
@@ -283,21 +286,6 @@ def model_visibility(optics: OpticsConfig, pattern: ObjectPattern, alpha_per_mm2
     if np.ndim(distance_mm):
         return np.array([law(d) for d in np.asarray(distance_mm, dtype=float)])
     return law(distance_mm)
-
-
-def ghost_image_profile(x, pattern: ObjectPattern, visibility):
-    """Ghost-image profile: the object's envelope and fringe at reduced contrast.
-
-    Evaluates ``exp(-(x/w)^2/2) * (1 + V * fringe(x))`` with the pattern's
-    envelope width and fringe carrier.  ``V = 1`` reproduces the object
-    itself (for unity intrinsic visibility).
-    """
-    if not 0.0 <= visibility <= 1.0:
-        raise ValueError("visibility must be in [0, 1]")
-    x = np.asarray(x, dtype=float)
-    w = pattern.envelope_width_mm
-    out = np.exp(-0.5 * (x / w) ** 2) * (1.0 + visibility * pattern.fringe(x))
-    return out if out.ndim else float(out)
 
 
 def validity_ratio(distance_mm, alpha_per_mm2, k, envelope_width_mm):

@@ -13,8 +13,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .engine import ImageProfile, KlyshkoPath, _check_alpha, synthesize_image
-from .model import ObjectPattern, ghost_image_profile, kernel_from_turbulence, model_visibility
+from .engine import KlyshkoPath, _check_alpha, synthesize_image
+from .model import AnalyticKernel, ObjectPattern, kernel_from_turbulence, model_visibility
 
 __all__ = [
     "DetectorModel",
@@ -123,16 +123,12 @@ def _tophat_weights(step, width):
     return overlap / overlap.sum()
 
 
-def _slit_convolve(profile: ImageProfile, slit_width_mm):
-    x = profile.positions_mm
-    y = profile.values
+def _slit_convolve(values, step, slit_width_mm):
+    """``values`` (grid spacing ``step``) through the slit top-hat; zero-padded,
+    so the half-slit at each end reads low and scan positions keep clear of it."""
     if slit_width_mm <= 0:
-        return x, y
-    step = x[1] - x[0]
-    box = _tophat_weights(step, slit_width_mm)
-    m = (box.size - 1) // 2
-    pad = np.concatenate([np.full(m, y[0]), y, np.full(m, y[-1])])
-    return x, np.convolve(pad, box, mode="valid")
+        return values
+    return np.convolve(values, _tophat_weights(step, slit_width_mm), mode="same")
 
 
 def expected_scan_rates(
@@ -145,18 +141,21 @@ def expected_scan_rates(
 ):
     """Expected coincidence rate at each slit position.
 
-    Both routes carry the two contrast ceilings, the system visibility g
-    and the object's intrinsic visibility v0, through ``model_visibility``.
-    ``analytic`` evaluates the closed-form ghost image at this path's
-    model visibility; ``kernel`` convolves the object, at the turbulence-free
-    contrast g * v0 (model visibility at alpha = d = 0), with the analytic
-    Gaussian kernel of this path.  Square-wave patterns have no
+    Every scan is the object seen at one contrast through one kernel, by
+    ``synthesize_image``.  Both contrasts carry the two ceilings, the
+    system visibility g and the object's intrinsic visibility v0, through
+    ``model_visibility``.  ``analytic`` takes the ideal kernel at this
+    path's model visibility (the closed-form image); ``kernel`` takes this
+    path's Gaussian kernel at the turbulence-free contrast g * v0 (model
+    visibility at alpha = d = 0).  Square-wave patterns have no
     closed-form image and always take the kernel route.  The slit
     top-hat is applied on a fine grid, and the result is scaled so the
     profile peak sits at the detector's peak rate, plus the background.
     ``alpha_per_mm2`` must equal the path's.
     """
     _check_alpha(path, alpha_per_mm2)
+    if mode not in ("analytic", "kernel"):
+        raise ValueError(f"mode must be 'analytic' or 'kernel', got {mode!r}")
     positions = np.asarray(positions_mm, dtype=float)
     w = pattern.envelope_width_mm
     period = 2.0 * math.pi / pattern.fringe_wavenumber
@@ -165,26 +164,25 @@ def expected_scan_rates(
     fine_dx = min(period / 200.0, w / 50.0)
     if detector.slit_width_mm > 0:
         fine_dx = min(fine_dx, detector.slit_width_mm / 8.0)
+    # The margin keeps every scan position off the slit's zero-padded ends.
     margin = detector.slit_width_mm + 2.0 * fine_dx
     lo = min(positions[0] - margin, -4.0 * w)
     hi = max(positions[-1] + margin, 4.0 * w)
     n = int(math.ceil((hi - lo) / fine_dx)) + 1
     grid = lo + fine_dx * np.arange(n)
 
+    d = path.effective_distance_mm
     if mode == "analytic" and pattern.form == "sinusoid":
-        vis = model_visibility(path.optics, pattern, alpha_per_mm2, path.effective_distance_mm)
-        profile = ImageProfile(grid, ghost_image_profile(grid, pattern, vis))
-    elif mode in ("analytic", "kernel"):
-        kern = kernel_from_turbulence(alpha_per_mm2, path.effective_distance_mm, path.k)
-        contrast = model_visibility(path.optics, pattern, 0.0, 0.0)
-        seen = replace(pattern, intrinsic_visibility=contrast)
-        profile = synthesize_image(kern, seen, positions_mm=grid)
+        kernel = AnalyticKernel(0.0)
+        contrast = model_visibility(path.optics, pattern, alpha_per_mm2, d)
     else:
-        raise ValueError(f"mode must be 'analytic' or 'kernel', got {mode!r}")
-
-    gx, gy = _slit_convolve(profile, detector.slit_width_mm)
+        kernel = kernel_from_turbulence(alpha_per_mm2, d, path.k)
+        contrast = model_visibility(path.optics, pattern, 0.0, 0.0)
+    seen = replace(pattern, intrinsic_visibility=contrast)
+    image = synthesize_image(kernel, seen, positions_mm=grid).values
+    gy = _slit_convolve(image, grid[1] - grid[0], detector.slit_width_mm)
     gy = gy / gy.max()
-    rates = detector.peak_rate_cps * np.interp(positions, gx, gy)
+    rates = detector.peak_rate_cps * np.interp(positions, grid, gy)
     return rates + detector.background_cps
 
 

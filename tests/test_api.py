@@ -1,4 +1,6 @@
+import ast
 import importlib
+import os
 import pkgutil
 
 import numpy as np
@@ -96,6 +98,10 @@ REMOVED_ATTRIBUTES = {
     "ImageProfile.truncation_warning": lambda: engine.synthesize_image(
         AnalyticKernel(0.0), ObjectPattern()
     ),
+    # Folded into ObjectPattern.evaluate: the image at visibility V is
+    # replace(pattern, intrinsic_visibility=V).evaluate(x).
+    "turbghost.ghost_image_profile": lambda: turbghost,
+    "model.ghost_image_profile": lambda: model,
 }
 
 
@@ -103,3 +109,31 @@ REMOVED_ATTRIBUTES = {
 def test_removed_attribute_is_gone(name):
     owner = REMOVED_ATTRIBUTES[name]()
     assert not hasattr(owner, name.rsplit(".", 1)[1])
+
+
+TRACING = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "bench", "tracing.py")
+
+
+def _layer_functions():
+    """``LAYER_FUNCTIONS`` of the benchmark tracer, read as a literal (bench is not imported)."""
+    with open(TRACING, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) == "LAYER_FUNCTIONS" for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/tracing.py defines no LAYER_FUNCTIONS")
+
+
+def test_traced_layer_functions_resolve():
+    # The tracer rebinds each "<module>.<name>" by getattr; a deleted or
+    # renamed function would break traced benchmark runs.
+    if not os.path.exists(TRACING):
+        pytest.skip("bench/tracing.py is not in this tree")
+    names = _layer_functions()
+    assert names
+    for dotted in names:
+        module_name, attr = dotted.split(".")
+        module = importlib.import_module(f"turbghost.{module_name}")
+        assert callable(getattr(module, attr, None)), dotted

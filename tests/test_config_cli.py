@@ -25,7 +25,7 @@ from turbghost.config import (
 )
 from turbghost.fitting import fit_scan
 from turbghost.model import OpticsConfig, kernel_sigma
-from turbghost.scan import ScanCSVError, format_scan_csv, read_scan_csv
+from turbghost.scan import ScanCSVError, ScanData, format_scan_csv, read_scan_csv
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "fixture_scan_seed424242.csv")
 # Slit-attenuated visibility of the fixture's generating model:
@@ -203,6 +203,29 @@ class TestConfigValidation:
         path = minimal_config(tmp_path, **{section: {key: 1000}})
         with pytest.raises(ConfigSchemaError, match=rf"{section}\.{key}\b"):
             load_config(path)
+
+    @pytest.mark.parametrize("mutation, key", [
+        ({"optics": []}, "optics: expected an object"),
+        ({"turbulence_sweep": [{"placement": "crystal_side", "l1_mm": 482.0}]},
+         "turbulence_sweep[0].alpha_per_mm2: required key missing"),
+        ({"engine": {"master_seed": 7.5}}, "engine.master_seed: expected an integer"),
+        ({"label": 5}, "config.label: expected a string"),
+        ({"detector": {"poisson_noise": 1}}, "detector.poisson_noise: expected a boolean"),
+        ({"turbulence_sweep": [{"l1_mm": 482.0, "alpha_per_mm2": 2.0}]},
+         "turbulence_sweep[0].placement: required key missing"),
+        ({"turbulence_sweep": [{"placement": "crystal_side", "l1_mm": 482.0,
+                                "distance_from_object_mm": 200.0, "alpha_per_mm2": 2.0}]},
+         "turbulence_sweep[0]: crystal_side takes l1_mm"),
+        ({"turbulence_sweep": [{"placement": "object_side", "distance_from_object_mm": 200.0,
+                                "l1_mm": 482.0, "alpha_per_mm2": 2.0}]},
+         "turbulence_sweep[0]: object_side takes distance_from_object_mm"),
+        ({"turbulence_sweep": {"placement": "crystal_side"}},
+         "config.turbulence_sweep: expected a list"),
+    ])
+    def test_schema_error_names_its_key(self, tmp_path, mutation, key):
+        with pytest.raises(ConfigSchemaError) as exc:
+            load_config(minimal_config(tmp_path, **mutation))
+        assert str(exc.value).startswith(key)
 
     def test_bad_mode_is_schema_error(self, tmp_path):
         path = minimal_config(tmp_path, engine={"mode": "exact"})
@@ -469,6 +492,37 @@ class TestCLI:
         with open(os.path.join(root, "pyproject.toml"), encoding="utf-8") as fh:
             declared = re.search(r'^version = "([^"]+)"$', fh.read(), re.M).group(1)
         assert declared == turbghost.__version__
+
+    def test_campaign_slit_too_wide_exits_before_any_point(self, tmp_path, capsys):
+        # k0 * 0.3 / 2 > pi at 3.6 cycles/mm: no point's visibility could be
+        # slit-corrected, so the campaign refuses the config and writes nothing.
+        rc = main(["campaign", "--config", str(minimal_config(tmp_path)),
+                   "--set", "detector.slit_width_mm=0.3",
+                   "--output-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert "configuration error: detector.slit_width_mm: slit too wide" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    def test_fit_short_scan_is_nonconverged(self, tmp_path, capsys):
+        # 0.8 mm of a 3 mm fringe: a non-converged result, printed, exit 3.
+        p = tmp_path / "short.csv"
+        x = np.linspace(-0.4, 0.4, 50)
+        counts = np.rint(5000.0 * np.exp(-0.5 * (x / 0.4) ** 2) * (1.0 + 0.5 * np.cos(2.0 * x)))
+        p.write_text(format_scan_csv(ScanData(x, counts, np.full_like(x, 100.0))))
+        rc = main(["fit", str(p)])
+        assert rc == 3
+        out = capsys.readouterr()
+        payload = json.loads(out.out)
+        assert payload["converged"] is False
+        assert payload["message"] == "degenerate data: scan spans fewer than two fringe periods"
+        assert "configuration error" not in out.err
+
+    def test_fit_malformed_header_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "bad.csv"
+        p.write_text("counts,position_mm,duration_s\n" + "".join(
+            f"{100 + i},{0.005 * i!r},4.0\n" for i in range(20)))
+        assert main(["fit", str(p)]) == 2
+        assert "configuration error: columns must be exactly" in capsys.readouterr().err
 
     def test_fit_nonconvergent_exit_code(self, tmp_path, capsys):
         p = tmp_path / "zeros.csv"

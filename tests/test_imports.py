@@ -48,8 +48,12 @@ def cli(argv):
     "from turbghost.config import bundled_config_path, load_config\n"
     "load_config(bundled_config_path('paper_unshifted.json'))",
     "from turbghost.screens import tilt_slopes\ntilt_slopes(2.0, 5000, 7)",
+    "from turbghost.engine import KlyshkoPath, monte_carlo_g2, synthesize_image\n"
+    "from turbghost.model import ObjectPattern, OpticsConfig, TurbulenceSpec\n"
+    "path = KlyshkoPath(OpticsConfig(), TurbulenceSpec.crystal_side(2.0, 482.0))\n"
+    "synthesize_image(monte_carlo_g2(path, 2.0, 2000, 7), ObjectPattern())",
 ], ids=["import", "analytic", "analytic-curve", "simulate", "kernel-analytic", "version", "load_config",
-        "tilt-slopes"])
+        "tilt-slopes", "synthesize-sampled-kernel"])
 def test_command_loads_no_scipy(code, tmp_path):
     assert scipy_modules_after(code, tmp_path) == []
 

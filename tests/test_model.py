@@ -16,7 +16,6 @@ from turbghost.model import (
     effective_distance,
     fringe_visibility,
     fringe_wavenumber_from_cycles,
-    ghost_image_profile,
     kernel_from_turbulence,
     kernel_sigma,
     model_visibility,
@@ -233,37 +232,30 @@ class TestModelVisibility:
 
 
 class TestGhostImageProfile:
+    # The ghost image at visibility V is the object at intrinsic visibility V.
     def test_center_value(self):
-        pattern = ObjectPattern()
         for v in (0.0, 0.3, 1.0):
-            assert ghost_image_profile(0.0, pattern, v) == pytest.approx(1.0 + v)
-
-    def test_unity_visibility_reproduces_object(self):
-        pattern = ObjectPattern()
-        x = np.linspace(-1.5, 1.5, 301)
-        np.testing.assert_allclose(
-            ghost_image_profile(x, pattern, 1.0), pattern.evaluate(x), rtol=0, atol=0
-        )
+            assert ObjectPattern(intrinsic_visibility=v).evaluate(0.0) == pytest.approx(1.0 + v)
 
     def test_first_minimum_value(self):
         # Direct evaluation at x = pi/k0 with V = 0.5, w = 0.4:
         # exp(-(x/w)^2/2) * (1 - 0.5).
-        pattern = ObjectPattern(envelope_width_mm=0.4)
+        pattern = ObjectPattern(envelope_width_mm=0.4, intrinsic_visibility=0.5)
         x = math.pi / K0
-        val = ghost_image_profile(x, pattern, 0.5)
+        val = pattern.evaluate(x)
         assert val == pytest.approx(0.4707496681601854, rel=1e-12)
 
     @given(st.floats(-3.0, 3.0), st.floats(0.0, 1.0))
     def test_nonnegative_and_bounded(self, x, v):
-        pattern = ObjectPattern()
-        val = ghost_image_profile(x, pattern, v)
+        pattern = ObjectPattern(intrinsic_visibility=v)
+        val = pattern.evaluate(x)
         assert 0.0 <= val <= 2.0
 
     def test_visibility_out_of_range(self):
         with pytest.raises(ValueError):
-            ghost_image_profile(0.0, ObjectPattern(), 1.2)
+            ObjectPattern(intrinsic_visibility=1.2)
         with pytest.raises(ValueError):
-            ghost_image_profile(0.0, ObjectPattern(), -0.1)
+            ObjectPattern(intrinsic_visibility=-0.1)
 
     def test_squarewave_values(self):
         pattern = ObjectPattern(form="squarewave")

@@ -17,6 +17,7 @@ from turbghost.scan import (
     MissingColumnError,
     NonIntegerCountsError,
     NonMonotonicPositionsError,
+    ScanCSVError,
     ScanData,
     expected_scan_rates,
     read_scan_csv,
@@ -152,6 +153,17 @@ class TestSimulateScan:
         data = simulate_scan(path, 2.0, ObjectPattern(), det, seed=1)
         assert data.counts.min() >= 25.0 * 4.0 * 0.9
 
+    @pytest.mark.parametrize("mode", ["analytic", "kernel"])
+    def test_rates_do_not_depend_on_scan_extent(self, mode):
+        # Positions past the default +-4w grid extend it by a margin, so the
+        # slit's zero-padded ends never reach a requested position.
+        path, pattern, det = default_path(), ObjectPattern(), DetectorModel()
+        wide = 0.005 * np.arange(-600, 601)
+        tail = slice(900, 1041)  # 1.5 mm to 2.2 mm, the last position past 4w = 1.6 mm
+        np.testing.assert_allclose(
+            expected_scan_rates(path, 2.0, pattern, det, wide[tail], mode=mode),
+            expected_scan_rates(path, 2.0, pattern, det, wide, mode=mode)[tail], rtol=1e-3)
+
     def test_squarewave_routes_through_kernel(self):
         path = default_path()
         det = DetectorModel(poisson_noise=False)
@@ -224,3 +236,22 @@ class TestScanCSV:
         p.write_text("# provenance note\nposition_mm,counts,duration_s\n0.0,1,1.0\n0.1,2,1.0\n")
         data = read_scan_csv(p)
         assert len(data) == 2
+
+
+HEADER = "position_mm,counts,duration_s\n"
+
+
+@pytest.mark.parametrize("text, error, names", [
+    ("# nothing but a comment\n", MissingColumnError, "empty scan CSV"),
+    ("counts,position_mm,duration_s\n1,0.0,1.0\n", MissingColumnError, "columns must be exactly"),
+    (HEADER + "0.0,1,1.0\n0.1,2\n", MissingColumnError, "line 3: expected 3 fields, got 2"),
+    (HEADER + "0.0,one,1.0\n", ScanCSVError, "line 2: could not convert"),
+    (HEADER + "0.0,1,1.0\n0.1,2,0.0\n", ScanCSVError, "durations must be positive"),
+])
+def test_malformed_csv_raises_typed_error(tmp_path, text, error, names):
+    p = tmp_path / "bad.csv"
+    p.write_text(text)
+    with pytest.raises(ScanCSVError) as exc:
+        read_scan_csv(p)
+    assert type(exc.value) is error
+    assert names in str(exc.value)
