@@ -252,6 +252,18 @@ def monte_carlo_g2(path: KlyshkoPath, alpha_per_mm2, n_screens, master_seed):
     return SampledKernel(centers, values, errors)
 
 
+def _fast_len(n):
+    """Smallest 11-smooth integer >= n >= 1, pocketfft's own choice of a fast complex FFT length."""
+    while True:
+        m = n
+        for p in (2, 3, 5, 7, 11):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
+
+
 def quadrature_g2(path: KlyshkoPath, alpha_per_mm2):
     """Coincidence kernel by direct quadrature with the screen-averaged correlation.
 
@@ -279,8 +291,6 @@ def quadrature_g2(path: KlyshkoPath, alpha_per_mm2):
     +-``QUADRATURE_SPAN_SIGMAS`` closed-form kernel widths.
     ``alpha_per_mm2`` must equal the path's.
     """
-    from scipy.fft import next_fast_len
-
     _check_alpha(path, alpha_per_mm2)
     if alpha_per_mm2 <= 0:
         raise ValueError("quadrature average needs alpha > 0; use the ideal kernel otherwise")
@@ -294,7 +304,7 @@ def quadrature_g2(path: KlyshkoPath, alpha_per_mm2):
     # g zero-padded past n + m_max so the circular correlation has no
     # wrap-around at any lag used.  The one buffer is transformed, squared
     # and transformed back in place.
-    buf = np.zeros(next_fast_len(n + m_max + 1), dtype=complex)
+    buf = np.zeros(_fast_len(n + m_max + 1), dtype=complex)
     buf[:n] = g
     del g
     np.fft.fft(buf, out=buf)
@@ -326,7 +336,7 @@ def fit_kernel_sigma(kernel):
     """
     if isinstance(kernel, AnalyticKernel):
         return kernel.sigma_mm
-    from scipy.optimize import least_squares
+    from .fitting import _evaluate_vector, _least_squares, _model_jacobian
 
     x = kernel.offsets_mm
     y = kernel.values
@@ -337,14 +347,14 @@ def fit_kernel_sigma(kernel):
     mu0 = float((x * y).sum() / total)
     s0 = math.sqrt(max(float(((x - mu0) ** 2 * y).sum() / total), (x[1] - x[0]) ** 2 / 12.0))
 
-    def resid(p):
-        a, mu, s = p
-        return (a * np.exp(-((x - mu) ** 2) / (2.0 * s**2)) - y) / w
+    def resid_jac(p):  # the fringe model at V = 0 and zero background
+        gaussian = np.array([*p, 1.0, 0.0, 0.0, 0.0])
+        return (_evaluate_vector(gaussian, x) - y) / w, _model_jacobian(gaussian, x)[:, :3] / w[:, None]
 
-    sol = least_squares(resid, [1.0, mu0, s0], method="lm", max_nfev=2000)
-    if not sol.success:
-        raise RuntimeError(f"kernel width fit failed: {sol.message}")
-    return abs(float(sol.x[2]))
+    p, _, _, _, message = _least_squares(resid_jac, [1.0, mu0, s0], -np.inf, np.inf)
+    if not message.startswith("converged"):
+        raise RuntimeError(f"kernel width fit failed: {message}")
+    return abs(float(p[2]))
 
 
 @dataclass(frozen=True)

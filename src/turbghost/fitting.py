@@ -2,11 +2,12 @@
 
 Scans are fit with a seven-parameter fringe model
 ``background + amplitude * exp(-((x-x0)/w)^2/2) * (1 + V cos(k0 (x-x0) + phi))``
-under Poisson weights (variance max(counts, 1)).  The optimizer is a
-bounded trust-region least-squares solver (damped Gauss-Newton steps with
-an internal reflective transform enforcing V in [0, 1]) driven by the
-model's closed-form Jacobian; standard errors come from the local
-curvature of the weighted objective, (J^T J)^-1 at the solution.
+under Poisson weights (variance max(counts, 1)).  Every fit in the package,
+the kernel width in ``engine.fit_kernel_sigma`` included, runs one numpy
+solver, ``_least_squares``: box-bounded Levenberg-Marquardt with Moré's
+scaling, here driven by the model's closed-form Jacobian, with the bounds
+keeping V in [0, 1].  Standard errors come from the local curvature of the
+weighted objective, (J^T J)^-1 at the solution.
 
 Visibility-vs-distance campaigns are reduced to the turbulence strength
 ``alpha`` by weighted least squares of the attenuation law
@@ -210,6 +211,42 @@ def initial_guess(positions_mm, rates_cps):
     return ScanFitModel(amplitude, center, max(width, 1e-6), k0, phase, vis, max(bg, 0.0))
 
 
+def _least_squares(resid_jac, p0, lo, hi):
+    """Box-bounded Levenberg-Marquardt: least |r(p)|^2 over lo <= p <= hi.
+
+    ``resid_jac(p)`` returns (r, J).  Steps solve (J^T J + lam D^2) s = -J^T r,
+    D the running maximum of J's column norms (Moré), and are clipped to the
+    box; a parameter on a bound the gradient pushes against is held for that
+    step.  lam falls threefold per accepted step and rises tenfold per rejected
+    one.  Converges on a relative cost decrease <= OBJECTIVE_TOL or a step
+    <= 1e-12 |p|.  Returns (p, r, J at p, evaluations, stop reason).
+    """
+    p = np.clip(np.asarray(p0, dtype=float), lo, hi)
+    r, jac = resid_jac(p)
+    nfev, lam, diag = 1, 1e-3, np.zeros(p.size)
+    for _ in range(MAX_ITERATIONS):
+        diag = np.maximum(diag, np.linalg.norm(jac, axis=0))
+        grad = jac.T @ r
+        jf = np.where(((p <= lo) & (grad > 0)) | ((p >= hi) & (grad < 0)), 0.0, jac)
+        hess, grad, damping = jf.T @ jf, jf.T @ r, np.diag(np.where(diag > 0, diag, 1.0) ** 2)
+        while True:
+            trial = np.clip(p - np.linalg.solve(hess + lam * damping, grad), lo, hi)
+            if not np.all(np.isfinite(trial)):
+                return p, r, jac, nfev, "optimizer_stalled: no finite step lowers the cost"
+            if np.linalg.norm(trial - p) <= 1e-12 * np.linalg.norm(p):
+                return p, r, jac, nfev, "converged: step below tolerance"
+            r_new, jac_new = resid_jac(trial)
+            nfev += 1
+            if r_new @ r_new < r @ r:
+                break
+            lam *= 10.0
+        decrease = 1.0 - (r_new @ r_new) / (r @ r)
+        p, r, jac, lam = trial, r_new, jac_new, lam / 3.0
+        if decrease <= OBJECTIVE_TOL:
+            return p, r, jac, nfev, "converged: relative cost decrease below tolerance"
+    return p, r, jac, nfev, "optimizer_stalled: iteration limit reached"
+
+
 def _fit_core(x, y, sig, scale, init):
     """Bounded least squares of the fringe model: minimises (scale * model(x) - y) / sig.
 
@@ -217,43 +254,23 @@ def _fit_core(x, y, sig, scale, init):
     optimizer stall or an out-of-bounds solution yields a non-converged
     result instead of raising.
     """
-    from scipy.optimize import least_squares
-
-    p0 = np.clip(init.to_vector(), _PARAM_LO, _PARAM_HI)
     weight = (scale / sig)[:, None]
 
-    def resid(p):
-        return (scale * _evaluate_vector(p, x) - y) / sig
+    def resid_jac(p):
+        return (scale * _evaluate_vector(p, x) - y) / sig, weight * _model_jacobian(p, x)
 
-    sol = least_squares(
-        resid,
-        p0,
-        jac=lambda p: weight * _model_jacobian(p, x),
-        bounds=(_PARAM_LO, _PARAM_HI),
-        method="trf",
-        ftol=OBJECTIVE_TOL,
-        xtol=1e-12,
-        gtol=1e-12,
-        max_nfev=MAX_ITERATIONS * (len(p0) + 1),
-    )
-    dof = max(x.size - len(p0), 1)
-    red_chi2 = float(2.0 * sol.cost / dof)
-    # sol.jac is the exact weighted Jacobian at the solution.
-    errors = _curvature_errors(sol.jac)
-    converged = bool(sol.success)
-    model = None
-    message = sol.message
+    p, r, jac, nfev, message = _least_squares(resid_jac, init.to_vector(), _PARAM_LO, _PARAM_HI)
+    converged = message.startswith("converged")
     try:
-        model = ScanFitModel.from_vector(sol.x)
+        model = ScanFitModel.from_vector(p)
     except ValueError as exc:
-        converged = False
-        message = f"{sol.message}; invalid solution: {exc}"
+        model, converged, message = None, False, f"invalid_solution: {exc} ({message})"
     return FitResult(
         model=model,
-        errors=dict(zip(_PARAM_NAMES, errors)),
-        reduced_chi2=red_chi2,
+        errors=dict(zip(_PARAM_NAMES, _curvature_errors(jac))),
+        reduced_chi2=float(r @ r / max(x.size - p.size, 1)),
         converged=converged,
-        n_evaluations=int(sol.nfev),
+        n_evaluations=nfev,
         message=message,
     )
 
@@ -371,8 +388,9 @@ def fit_alpha(points, g_by_label, k, k0):
     sig = np.array([p.sigma_v if p.sigma_v > 0 else 1.0 for p in pts])
     c = d**2 / (2.0 * (k / k0) ** 2)
 
-    def resid(a):
-        return (g * np.exp(-a[0] * c) - v) / sig
+    def resid_jac(a):
+        model = g * np.exp(-a[0] * c)
+        return (model - v) / sig, (-c * model / sig)[:, None]
 
     # Moment start: average log-attenuation over informative points.
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -380,20 +398,10 @@ def fit_alpha(points, g_by_label, k, k0):
         logr = -np.log(ratio)
     mask = np.isfinite(logr) & (c > 0)
     a0 = float(np.clip(np.nansum(logr[mask]) / max(np.sum(c[mask]), 1e-12), 0.0, 1e3))
-    from scipy.optimize import least_squares
-    sol = least_squares(
-        resid,
-        [a0],
-        bounds=([0.0], [np.inf]),
-        method="trf",
-        ftol=OBJECTIVE_TOL,
-        xtol=1e-14,
-        max_nfev=MAX_ITERATIONS * 2,
-    )
-    dof = max(len(pts) - 1, 1)
-    red_chi2 = float(2.0 * sol.cost / dof)
-    err = _curvature_errors(sol.jac)[0]
-    return AlphaFitResult(float(sol.x[0]), err, red_chi2, bool(sol.success), sol.message)
+    a, r, jac, _, message = _least_squares(resid_jac, [a0], 0.0, np.inf)
+    red_chi2 = float(r @ r / max(len(pts) - 1, 1))
+    return AlphaFitResult(float(a[0]), _curvature_errors(jac)[0], red_chi2,
+                          message.startswith("converged"), message)
 
 
 def slit_factor(k0, slit_width_mm):

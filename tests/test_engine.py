@@ -309,6 +309,47 @@ class TestQuadratureG2:
             assert abs(a / b - 1.0) <= 0.02
 
 
+def reference_kernel_sigma(kernel):
+    """The weighted Gaussian fit_kernel_sigma documents, solved by scipy's trust-region solver."""
+    from scipy.optimize import least_squares
+
+    x, y = kernel.offsets_mm, kernel.values
+    w = np.where(kernel.standard_errors > 0, kernel.standard_errors, 1.0)
+
+    def resid(p):
+        return (p[0] * np.exp(-((x - p[1]) ** 2) / (2.0 * p[2] ** 2)) - y) / w
+
+    spread = math.sqrt(float(((x - (x * y).sum() / y.sum()) ** 2 * y).sum() / y.sum()))
+    sol = least_squares(resid, [1.0, 0.0, spread], method="trf", xtol=1e-12, ftol=1e-12, gtol=1e-12)
+    return abs(float(sol.x[2]))
+
+
+class TestFitKernelSigma:
+    # fit_kernel_sigma's own solver must land on the optimum an independent
+    # solver finds, to the benchmark's kernel-fit agreement tolerance.
+    @pytest.mark.parametrize("alpha", (0.5, 2.0, 2.5))
+    @pytest.mark.parametrize("d", (50.0, 152.0, 203.0, 482.0))
+    def test_monte_carlo_kernels_match_reference(self, alpha, d):
+        kern = monte_carlo_g2(crystal_path(alpha, d), alpha, 10000, MASTER)
+        assert fit_kernel_sigma(kern) == pytest.approx(reference_kernel_sigma(kern), rel=1e-5)
+
+    @pytest.mark.parametrize("alpha,d,shift,ws", [
+        (0.5, 482.0, 0.0, 4.0), (2.0, 482.0, 0.0, 4.0), (2.0, 152.0, 330.0, 12.0),
+    ])
+    @pytest.mark.parametrize("scale", (1.0, 2.0))
+    def test_quadrature_kernels_match_reference(self, alpha, d, shift, ws, scale):
+        kern = quadrature_g2(crystal_path(alpha, d, shift, scale * ws), alpha)
+        assert fit_kernel_sigma(kern) == pytest.approx(reference_kernel_sigma(kern), rel=1e-5)
+
+
+def test_fast_len_matches_scipy():
+    # quadrature_g2's FFT length: any other choice moves kernel bits.
+    from scipy.fft import next_fast_len
+
+    for n in [*range(1, 5000), 2**20 + 1, 3_000_017, 12_345_679, 10**9 + 7]:
+        assert engine._fast_len(n) == next_fast_len(n), n
+
+
 class TestSynthesizeImage:
     def test_ideal_kernel_returns_object(self):
         pattern = ObjectPattern()

@@ -155,6 +155,12 @@ class TestFitScan:
         assert not result.converged and result.model is None
         assert result.message == "degenerate data: scan spans fewer than two fringe periods"
 
+    def test_iteration_limit_is_a_typed_stall(self, monkeypatch):
+        monkeypatch.setattr(fitting, "MAX_ITERATIONS", 1)
+        result = fit_scan(read_scan_csv(FIXTURE))
+        assert result.converged is False
+        assert result.message.startswith("optimizer_stalled")
+
     def test_count_scale_absorbed_by_amplitude(self):
         # Scaling counts at fixed dwell multiplies the rate, so the fitted
         # amplitude scales and every shape parameter stays put.
@@ -245,6 +251,35 @@ class TestFitAlpha:
             if result.converged and abs(result.alpha_per_mm2 - 2.5) <= result.alpha_sigma:
                 cover += 1
         assert cover >= 60
+
+
+    def test_matches_trust_region_reference(self):
+        # Points as criterion 5 makes them: seeded scans at its detector
+        # settings, fitted and slit-corrected; fit_alpha must land on the
+        # optimum scipy's trust-region solver finds for the same residual.
+        from scipy.optimize import least_squares
+
+        alpha = -2.0 * math.log(0.3) * (K / K0) ** 2 / 482.0**2
+        detector = DetectorModel(peak_rate_cps=200.0, integration_time_s=4.0)
+        for rep in range(3):
+            pts = []
+            for i, d in enumerate((152.0, 203.0, 330.0, 482.0)):
+                path = KlyshkoPath(OpticsConfig(), TurbulenceSpec.crystal_side(alpha, d))
+                data = simulate_scan(path, alpha, ObjectPattern(), detector, seed=10 * rep + i,
+                                     n_positions=160)
+                fit = fit_scan(data)
+                factor = slit_factor(fit.model.fringe_wavenumber, detector.slit_width_mm)
+                pts.append(VisibilityPoint(d, fit.model.visibility / factor,
+                                           fit.errors["visibility"] / factor, label="unshifted"))
+            result = fit_alpha(pts, {"unshifted": 1.0}, K, K0)
+            c = np.array([p.effective_distance_mm for p in pts]) ** 2 / (2.0 * (K / K0) ** 2)
+            v = np.array([p.visibility for p in pts])
+            sig = np.array([p.sigma_v for p in pts])
+            ref = least_squares(lambda a: (np.exp(-a[0] * c) - v) / sig, [alpha],
+                                bounds=([0.0], [np.inf]), method="trf",
+                                xtol=1e-15, ftol=1e-15, gtol=1e-15)
+            assert result.converged
+            assert result.alpha_per_mm2 == pytest.approx(ref.x[0], rel=1e-6)
 
 
 class TestSlitCorrection:

@@ -1,8 +1,9 @@
 """scipy is imported where it is called.
 
 Each case runs in a fresh interpreter, because this test process already
-holds scipy.  Commands that neither fit nor build power-law screens must
-leave ``sys.modules`` free of scipy.
+holds scipy.  Only power-law screens load scipy (``scipy.special.gamma``);
+every other command, fits and kernel widths included, must leave
+``sys.modules`` free of scipy.
 """
 
 import json
@@ -13,6 +14,7 @@ import sys
 import pytest
 
 import turbghost
+from turbghost.config import bundled_config_path
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(turbghost.__file__)))
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "fixture_scan_seed424242.csv")
@@ -44,6 +46,10 @@ def cli(argv):
     cli(["analytic", "--curve", "0", "250", "251"]),
     cli(["simulate", "--output", "scan.csv"]),
     cli(["kernel", "--method", "analytic"]),
+    cli(["kernel", "--method", "mc"]),
+    cli(["kernel", "--method", "quadrature"]),
+    cli(["fit", FIXTURE]),
+    cli(["campaign", "--config", str(bundled_config_path("paper_unshifted.json"))]),
     cli(["--version"]),
     "from turbghost.config import bundled_config_path, load_config\n"
     "load_config(bundled_config_path('paper_unshifted.json'))",
@@ -52,12 +58,15 @@ def cli(argv):
     "from turbghost.model import ObjectPattern, OpticsConfig, TurbulenceSpec\n"
     "path = KlyshkoPath(OpticsConfig(), TurbulenceSpec.crystal_side(2.0, 482.0))\n"
     "synthesize_image(monte_carlo_g2(path, 2.0, 2000, 7), ObjectPattern())",
-], ids=["import", "analytic", "analytic-curve", "simulate", "kernel-analytic", "version", "load_config",
-        "tilt-slopes", "synthesize-sampled-kernel"])
+], ids=["import", "analytic", "analytic-curve", "simulate", "kernel-analytic", "kernel-mc",
+        "kernel-quadrature", "fit", "campaign", "version", "load_config", "tilt-slopes",
+        "synthesize-sampled-kernel"])
 def test_command_loads_no_scipy(code, tmp_path):
     assert scipy_modules_after(code, tmp_path) == []
 
 
-def test_fit_loads_optimize(tmp_path):
+def test_powerlaw_screens_load_special(tmp_path):
     # Positive control: the probe does see a scipy import when one happens.
-    assert "scipy.optimize" in scipy_modules_after(cli(["fit", FIXTURE]), tmp_path)
+    code = ("import numpy as np\nfrom turbghost.screens import ScreenEnsemble\n"
+            "ScreenEnsemble.powerlaw(1.0, 5 / 3, np.arange(64) * 0.01, 3, 7)")
+    assert "scipy.special" in scipy_modules_after(code, tmp_path)
