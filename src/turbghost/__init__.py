@@ -35,8 +35,6 @@ from .screens import (  # noqa: F401
 )
 from .engine import (  # noqa: F401
     KlyshkoPath,
-    fit_kernel_sigma,
-    klyshko_amplitude,
     klyshko_amplitude_quadrature,
     monte_carlo_g2,
     quadrature_g2,
@@ -54,6 +52,7 @@ from .fitting import (  # noqa: F401
     FitResult,
     ScanFitModel,
     fit_alpha,
+    fit_kernel_sigma,
     fit_profile,
     fit_scan,
     slit_correction,

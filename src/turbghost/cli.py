@@ -101,6 +101,8 @@ def _cmd_analytic(args):
         if args.effective_distance_mm is not None:
             raise ConfigError("--effective-distance-mm is not read with --curve")
         lo, hi, n = args.curve
+        if not (n >= 1 and n.is_integer()):
+            raise ConfigError(f"--curve N must be a whole number >= 1, got {n:g}")
         d = np.linspace(lo, hi, int(n))
         v = model_visibility(optics, pattern, args.alpha_per_mm2, d)
         text = "\n".join(["d_mm,V"] + [f"{di:.10g},{vi:.10g}" for di, vi in zip(d, v)])

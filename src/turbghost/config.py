@@ -71,6 +71,8 @@ class EngineSettings:
     source_width_mm: float = 4.0
 
     def __post_init__(self):
+        if self.master_seed < 0:
+            raise ValueError("master_seed must be >= 0")
         if self.scan_points < 2:
             raise ValueError("scan_points must be >= 2")
         if self.mode not in SCAN_MODES:

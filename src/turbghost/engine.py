@@ -42,6 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fitting import fit_kernel_sigma
 from .model import (
     AnalyticKernel,
     ObjectPattern,
@@ -51,12 +52,11 @@ from .model import (
     effective_distance,
     kernel_sigma,
 )
-from .screens import TiltScreen, mutual_coherence, tilt_slopes
+from .screens import mutual_coherence, tilt_slopes
 
 __all__ = [
     "KlyshkoPath",
     "ImageProfile",
-    "klyshko_amplitude",
     "klyshko_amplitude_quadrature",
     "monte_carlo_g2",
     "quadrature_g2",
@@ -65,9 +65,6 @@ __all__ = [
 ]
 
 
-# Nominal width of the ideal response where the geometry makes it exactly
-# a delta (delta == 0).
-IDEAL_RESOLUTION_MM = 1e-3
 # Monte Carlo histogram: 81 bins over 8 displacement spreads, the spread
 # floored so an unturbulent ensemble still gets a finite central bin.
 MC_BINS = 81
@@ -121,13 +118,6 @@ class KlyshkoPath:
         for crystal-side placement).
         """
         return self.effective_distance_mm + self.shift_mm
-
-    @property
-    def psf_sigma_mm(self):
-        """Width of the ideal (no turbulence) |A|^2 response in x2 - x1."""
-        if abs(self.shift_mm) < 1e-12:
-            return IDEAL_RESOLUTION_MM
-        return abs(self.shift_mm) / (math.sqrt(2.0) * self.k * self.source_width_mm)
 
 
 def _check_alpha(path: KlyshkoPath, alpha_per_mm2):
@@ -183,24 +173,6 @@ def _folded_integrand(path: KlyshkoPath, x1, u_max):
         phase = -k * x1**2 / (2.0 * delta) - ((k * x1 / delta) ** 2 / (4.0 * beta)).imag
         c = complex(b.real**2 / (4.0 * a.real), phase - np.angle(beta) / 2.0)
     return xt, dx, np.exp((a * xt + b) * xt + c)
-
-
-def klyshko_amplitude(x1, x2, screen, path: KlyshkoPath):
-    """Two-point coincidence amplitude for one screen realization.
-
-    Tilt screens take the analytic fast path: a linear phase a*x_t at the
-    turbulence plane displaces the ideal point-spread amplitude to
-    x2 - x1 = -a d / k (verified against direct quadrature of the folded
-    kernels).  Gridded screens go through the full quadrature.  Global
-    phases are dropped; only |A|^2 is physical.  ``x2`` is a scalar
-    (giving a ``complex``) or an array (giving a complex array).
-    """
-    if isinstance(screen, TiltScreen):
-        shift = -screen.slope_rad_per_mm * path.effective_distance_mm / path.k
-        dx = (np.asarray(x2, dtype=float) - x1) - shift
-        amp = np.exp(-(dx**2) / (4.0 * path.psf_sigma_mm**2)) + 0j
-        return complex(amp) if amp.ndim == 0 else amp
-    return klyshko_amplitude_quadrature(x1, x2, screen, path)
 
 
 def klyshko_amplitude_quadrature(x1, x2, screen, path: KlyshkoPath):
@@ -325,36 +297,6 @@ def quadrature_g2(path: KlyshkoPath, alpha_per_mm2):
     phase = np.exp(1j * (path.k * dx / d) * np.outer(offsets, ms))
     g2 = ((phase * lags).real * weights).sum(axis=1) * dx
     return SampledKernel(offsets, g2 / g2.max(), np.zeros_like(offsets))
-
-
-def fit_kernel_sigma(kernel):
-    """Gaussian width of a coincidence kernel.
-
-    Analytic kernels report their width directly.  Sampled kernels are fit
-    with amplitude * exp(-(dx - mu)^2 / (2 sigma^2)), weighted by the
-    per-bin standard errors where available.
-    """
-    if isinstance(kernel, AnalyticKernel):
-        return kernel.sigma_mm
-    from .fitting import _evaluate_vector, _least_squares, _model_jacobian
-
-    x = kernel.offsets_mm
-    y = kernel.values
-    w = np.where(kernel.standard_errors > 0, kernel.standard_errors, 1.0)
-    total = y.sum()
-    if total <= 0:
-        raise ValueError("kernel has no mass")
-    mu0 = float((x * y).sum() / total)
-    s0 = math.sqrt(max(float(((x - mu0) ** 2 * y).sum() / total), (x[1] - x[0]) ** 2 / 12.0))
-
-    def resid_jac(p):  # the fringe model at V = 0 and zero background
-        gaussian = np.array([*p, 1.0, 0.0, 0.0, 0.0])
-        return (_evaluate_vector(gaussian, x) - y) / w, _model_jacobian(gaussian, x)[:, :3] / w[:, None]
-
-    p, _, _, _, message = _least_squares(resid_jac, [1.0, mu0, s0], -np.inf, np.inf)
-    if not message.startswith("converged"):
-        raise RuntimeError(f"kernel width fit failed: {message}")
-    return abs(float(p[2]))
 
 
 @dataclass(frozen=True)

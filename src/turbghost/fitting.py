@@ -3,7 +3,7 @@
 Scans are fit with a seven-parameter fringe model
 ``background + amplitude * exp(-((x-x0)/w)^2/2) * (1 + V cos(k0 (x-x0) + phi))``
 under Poisson weights (variance max(counts, 1)).  Every fit in the package,
-the kernel width in ``engine.fit_kernel_sigma`` included, runs one numpy
+the kernel width in ``fit_kernel_sigma`` included, runs one numpy
 solver, ``_least_squares``: box-bounded Levenberg-Marquardt with Moré's
 scaling, here driven by the model's closed-form Jacobian, with the bounds
 keeping V in [0, 1].  Standard errors come from the local curvature of the
@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .scan import ScanData
+from .model import AnalyticKernel
 
 __all__ = [
     "ScanFitModel",
@@ -33,6 +33,7 @@ __all__ = [
     "fit_profile",
     "fit_scan",
     "fit_alpha",
+    "fit_kernel_sigma",
     "slit_factor",
     "slit_correction",
 ]
@@ -247,6 +248,32 @@ def _least_squares(resid_jac, p0, lo, hi):
     return p, r, jac, nfev, "optimizer_stalled: iteration limit reached"
 
 
+def fit_kernel_sigma(kernel):
+    """Gaussian width of a coincidence kernel.
+
+    Analytic kernels report their width directly.  Sampled kernels are fit
+    with amplitude * exp(-(dx - mu)^2 / (2 sigma^2)), weighted by the
+    per-bin standard errors where available.
+    """
+    if isinstance(kernel, AnalyticKernel):
+        return kernel.sigma_mm
+    x = kernel.offsets_mm
+    y = kernel.values
+    w = np.where(kernel.standard_errors > 0, kernel.standard_errors, 1.0)
+    total = y.sum()  # positive: a SampledKernel peaks at 1
+    mu0 = float((x * y).sum() / total)
+    s0 = math.sqrt(max(float(((x - mu0) ** 2 * y).sum() / total), (x[1] - x[0]) ** 2 / 12.0))
+
+    def resid_jac(p):  # the fringe model at V = 0 and zero background
+        gaussian = np.array([*p, 1.0, 0.0, 0.0, 0.0])
+        return (_evaluate_vector(gaussian, x) - y) / w, _model_jacobian(gaussian, x)[:, :3] / w[:, None]
+
+    p, _, _, _, message = _least_squares(resid_jac, [1.0, mu0, s0], -np.inf, np.inf)
+    if not message.startswith("converged"):
+        raise RuntimeError(f"kernel width fit failed: {message}")
+    return abs(float(p[2]))
+
+
 def _fit_core(x, y, sig, scale, init):
     """Bounded least squares of the fringe model: minimises (scale * model(x) - y) / sig.
 
@@ -323,8 +350,8 @@ def _curvature_errors(jac):
         return [float("nan")] * jac.shape[1]
 
 
-def fit_scan(data: ScanData):
-    """Fit the fringe model to a coincidence scan with Poisson weights.
+def fit_scan(data):
+    """Fit the fringe model to a coincidence scan (a ``ScanData``) with Poisson weights.
 
     The fit runs in counts space, so heterogeneous dwell times weigh in
     correctly: residuals are (counts - duration * rate_model) / sqrt(max(counts, 1)).

@@ -157,11 +157,14 @@ class TiltScreen:
 
 @dataclass(frozen=True)
 class GriddedScreen:
-    """Phase samples on a uniform grid of spacing ``spacing_mm``."""
+    """Phase samples on the increasing grid ``x_mm``, linearly interpolated.
+
+    A structure-function estimate also needs the grid uniform; it takes
+    the step from ``x_mm`` and checks it once per ensemble.
+    """
 
     x_mm: np.ndarray
     phase_rad: np.ndarray
-    spacing_mm: float
 
     def __post_init__(self):
         x = np.asarray(self.x_mm, dtype=float)
@@ -231,9 +234,7 @@ def _powerlaw_screens(alpha, p, grid_mm, rngs):
     grid = np.asarray(grid_mm, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
         raise ValueError("grid must be a 1-D array of at least 2 points")
-    spacing = np.diff(grid)
-    if not np.allclose(spacing, spacing[0], rtol=1e-9, atol=0.0):
-        raise ValueError("grid must be uniform")
+    _grid_step(grid)
     if alpha == 0.0:
         phases = (np.zeros_like(grid) for _ in rngs)
     elif p == 2.0:
@@ -245,7 +246,15 @@ def _powerlaw_screens(alpha, p, grid_mm, rngs):
         cos, sin = np.cos(arg), np.sin(arg)
         phases = ((amp * rng.standard_normal(f.size)) @ cos
                   + (amp * rng.standard_normal(f.size)) @ sin for rng in rngs)
-    return tuple(GriddedScreen(grid, phase, float(spacing[0])) for phase in phases)
+    return tuple(GriddedScreen(grid, phase) for phase in phases)
+
+
+def _grid_step(grid):
+    """Step of a uniform 1-D grid; ``ValueError`` if the grid is not uniform."""
+    spacing = np.diff(grid)
+    if not np.allclose(spacing, spacing[0], rtol=1e-9, atol=0.0):
+        raise ValueError("grid must be uniform")
+    return float(spacing[0])
 
 
 @dataclass(frozen=True)
@@ -305,7 +314,7 @@ def estimate_structure_function(ensemble: ScreenEnsemble, separations_mm):
     steps (within 1e-6 mm) and averaged over all in-support pairs; a
     separation off the lattice or beyond the span is marked invalid rather
     than failing the whole estimate.  The ensemble must be all tilt screens
-    or all gridded screens on one grid (``ValueError`` otherwise).
+    or all gridded screens on one uniform grid (``ValueError`` otherwise).
     """
     screens = tuple(ensemble)
     if not screens:
@@ -313,14 +322,14 @@ def estimate_structure_function(ensemble: ScreenEnsemble, separations_mm):
     n, first = len(screens), screens[0]
     tilt = isinstance(first, TiltScreen)
     if any(isinstance(s, TiltScreen) != tilt for s in screens) or not tilt and any(
-        s.spacing_mm != first.spacing_mm or not np.array_equal(s.x_mm, first.x_mm) for s in screens
+        not np.array_equal(s.x_mm, first.x_mm) for s in screens
     ):
         raise ValueError("ensemble must be all tilt screens or all gridded screens on one grid")
     if tilt:
         slopes = [s.slope_rad_per_mm for s in screens]
     else:
         phases = np.stack([s.phase_rad for s in screens])
-        step, size = first.spacing_mm, first.x_mm.size
+        step, size = _grid_step(first.x_mm), first.x_mm.size
     seps = np.atleast_1d(np.asarray(separations_mm, dtype=float))
     values = np.full(seps.shape, np.nan)
     errors = np.full(seps.shape, np.nan)

@@ -70,7 +70,10 @@ REMOVED = {
     "ScanData(provenance)": lambda: scan.ScanData(X, np.ones(X.size, dtype=int), np.ones(X.size),
                                                   provenance=""),
     "GriddedScreen(alpha, exponent)": lambda: screens.GriddedScreen(
-        x_mm=GRID, phase_rad=0.0 * GRID, spacing_mm=0.05, alpha=0.0, exponent=2.0),
+        x_mm=GRID, phase_rad=0.0 * GRID, alpha=0.0, exponent=2.0),
+    # The step is read from x_mm, so a declared step cannot disagree with it.
+    "GriddedScreen(spacing_mm)": lambda: screens.GriddedScreen(
+        x_mm=GRID, phase_rad=0.0 * GRID, spacing_mm=0.05),
     "ScreenEnsemble(master_seed)": lambda: screens.ScreenEnsemble((), master_seed=0),
     "StructureFunctionEstimate(separations_mm)": lambda: screens.StructureFunctionEstimate(
         separations_mm=np.zeros(1), values=np.zeros(1), standard_errors=np.zeros(1),
@@ -102,6 +105,13 @@ REMOVED_ATTRIBUTES = {
     # replace(pattern, intrinsic_visibility=V).evaluate(x).
     "turbghost.ghost_image_profile": lambda: turbghost,
     "model.ghost_image_profile": lambda: model,
+    # The tilt dispatcher restated the tilt-shift law of monte_carlo_g2 and
+    # otherwise forwarded to klyshko_amplitude_quadrature; the ideal-response
+    # width and its delta = 0 floor were read only by its tilt branch.
+    "engine.klyshko_amplitude": lambda: engine,
+    "turbghost.klyshko_amplitude": lambda: turbghost,
+    "KlyshkoPath.psf_sigma_mm": lambda: _path(),
+    "engine.IDEAL_RESOLUTION_MM": lambda: engine,
 }
 
 
@@ -137,3 +147,44 @@ def test_traced_layer_functions_resolve():
         module_name, attr = dotted.split(".")
         module = importlib.import_module(f"turbghost.{module_name}")
         assert callable(getattr(module, attr, None)), dotted
+
+
+PACKAGE_DIR = os.path.dirname(os.path.abspath(turbghost.__file__))
+SOURCES = sorted(f for f in os.listdir(PACKAGE_DIR) if f.endswith(".py"))
+
+
+def _source_tree(filename):
+    with open(os.path.join(PACKAGE_DIR, filename), encoding="utf-8") as fh:
+        return ast.parse(fh.read())
+
+
+def _package_imports(nodes):
+    """Dotted turbghost modules named by the import statements among ``nodes``."""
+    names = []
+    for node in nodes:
+        if isinstance(node, ast.ImportFrom) and node.level:
+            names.append("turbghost" + (f".{node.module}" if node.module else ""))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "turbghost":
+            names.append(node.module)
+        elif isinstance(node, ast.Import):
+            names += [a.name for a in node.names if a.name.split(".")[0] == "turbghost"]
+    return names
+
+
+@pytest.mark.parametrize("filename", SOURCES)
+def test_no_function_imports_a_package_module(filename):
+    # Module-level imports state the layering; an import inside a function
+    # hides a cycle instead of removing it.
+    late = [(fn.name, name) for fn in ast.walk(_source_tree(filename))
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for name in _package_imports(ast.walk(fn))]
+    assert late == []
+
+
+def test_fitting_imports_only_model():
+    # fitting sits below scan and engine: both use it, so it may use neither.
+    assert set(_package_imports(ast.walk(_source_tree("fitting.py")))) <= {"turbghost.model"}
+
+
+def test_engine_reexports_the_kernel_width_fit():
+    assert engine.fit_kernel_sigma is fitting.fit_kernel_sigma

@@ -131,6 +131,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("override, key", [
         ("engine.source_width_mm=0", "engine.source_width_mm"),
         ("engine.scan_points=1", "engine.scan_points"),
+        ("engine.master_seed=-1", "engine.master_seed"),
         ("optics.system_visibility=0", "optics.system_visibility"),
         ("optics.shift_mm=1200", "optics.shift_mm"),
         ("detector.slit_step_mm=0.1", "detector.slit_step_mm"),
@@ -355,6 +356,14 @@ class TestCLI:
         assert main(["kernel", "--method", method, flag, value]) == 2
         err = capsys.readouterr().err
         assert "configuration error" in err and flag in err
+
+    @pytest.mark.parametrize("n", ["2.7", "0", "-3", "nan"])
+    def test_analytic_curve_refuses_bad_count(self, capsys, n):
+        rc = main(["analytic", "--curve", "0", "250", n])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "configuration error: --curve N" in captured.err
+        assert captured.out == ""
 
     def test_analytic_curve_refuses_effective_distance(self, capsys):
         rc = main(["analytic", "--curve", "0", "250", "26", "--effective-distance-mm", "100"])

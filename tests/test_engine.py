@@ -7,7 +7,6 @@ from turbghost import engine
 from turbghost.engine import (
     KlyshkoPath,
     fit_kernel_sigma,
-    klyshko_amplitude,
     klyshko_amplitude_quadrature,
     monte_carlo_g2,
     quadrature_g2,
@@ -65,7 +64,7 @@ class TestAmplitude:
         path = crystal_path(2.0, 482.0)
         flat = TiltScreen(0.0)
         x2 = np.linspace(-0.005, 0.005, 101)
-        intensity = np.array([abs(klyshko_amplitude(0.0, x, flat, path)) ** 2 for x in x2])
+        intensity = np.abs(klyshko_amplitude_quadrature(0.0, x2, flat, path)) ** 2
         assert x2[intensity.argmax()] == pytest.approx(0.0, abs=1e-4)
 
     def test_tilt_displacement_magnitude(self):
@@ -76,19 +75,18 @@ class TestAmplitude:
         assert expected == pytest.approx(0.0249316218353454, rel=1e-12)
         assert expected == pytest.approx(0.02494, abs=2e-5)
         x2 = np.linspace(-2 * expected, 0.0, 401)
-        intensity = np.array([abs(klyshko_amplitude(0.0, x, screen, path)) ** 2 for x in x2])
+        intensity = np.abs(klyshko_amplitude_quadrature(0.0, x2, screen, path)) ** 2
         assert abs(x2[intensity.argmax()]) == pytest.approx(expected, rel=1e-3)
 
     def test_fast_path_matches_quadrature_peak(self):
+        # The quadrature peak sits at the tilt-shift law -a d / k that
+        # monte_carlo_g2 applies to every screen.
         path = crystal_path(2.0, 482.0)
         screen = TiltScreen(0.5)
         shift = -0.5 * 482.0 / path.k
         x2 = shift + np.linspace(-0.004, 0.004, 161)
-        fast = np.array([abs(klyshko_amplitude(0.0, x, screen, path)) ** 2 for x in x2])
-        quad = np.array(
-            [abs(klyshko_amplitude_quadrature(0.0, x, screen, path)) ** 2 for x in x2]
-        )
-        assert x2[fast.argmax()] == pytest.approx(x2[quad.argmax()], abs=2 * (x2[1] - x2[0]))
+        quad = np.abs(klyshko_amplitude_quadrature(0.0, x2, screen, path)) ** 2
+        assert x2[quad.argmax()] == pytest.approx(shift, abs=2 * (x2[1] - x2[0]))
 
     def test_displacement_linear_in_slope(self):
         path = crystal_path(2.0, 482.0, shift=330.0, ws=12.0)
@@ -110,46 +108,42 @@ class TestAmplitude:
         path = crystal_path(2.0, 482.0)
         a = 0.5
         grid = np.linspace(-30.0, 30.0, 20001)
-        gridded = GriddedScreen(grid, a * grid, grid[1] - grid[0])
+        gridded = GriddedScreen(grid, a * grid)
         shift = -a * 482.0 / path.k
         x2 = shift + np.linspace(-0.002, 0.002, 81)
         tilt_amp = np.array(
             [abs(klyshko_amplitude_quadrature(0.0, x, TiltScreen(a), path)) ** 2 for x in x2]
         )
         grid_amp = np.array(
-            [abs(klyshko_amplitude(0.0, x, gridded, path)) ** 2 for x in x2]
+            [abs(klyshko_amplitude_quadrature(0.0, x, gridded, path)) ** 2 for x in x2]
         )
         np.testing.assert_allclose(grid_amp, tilt_amp, rtol=1e-6)
 
-    @pytest.mark.parametrize("geometry", ["tilt_shifted", "gridded_flat", "tilt_fast_path"])
+    @pytest.mark.parametrize("geometry", ["tilt_shifted", "gridded_flat"])
     def test_array_x2_matches_scalar_calls(self, geometry):
         from turbghost.screens import GriddedScreen
 
-        amplitude = klyshko_amplitude
         path, screen = crystal_path(2.0, 482.0, shift=330.0, ws=12.0), TiltScreen(0.4)
-        if geometry == "tilt_shifted":
-            amplitude = klyshko_amplitude_quadrature
-        elif geometry == "gridded_flat":
+        if geometry == "gridded_flat":
             grid = np.linspace(-30.0, 30.0, 20001)
             path = crystal_path(2.0, 482.0)
-            screen = GriddedScreen(grid, 0.4 * grid + 0.1 * np.sin(grid), grid[1] - grid[0])
+            screen = GriddedScreen(grid, 0.4 * grid + 0.1 * np.sin(grid))
         # Seven points across the displaced peak, x2 = -a d / k.
         x2 = -0.4 * path.effective_distance_mm / path.k + np.linspace(-0.002, 0.002, 7)
-        scalar = [amplitude(0.0, x, screen, path) for x in x2]
+        scalar = [klyshko_amplitude_quadrature(0.0, x, screen, path) for x in x2]
         assert all(type(a) is complex for a in scalar)
         scalar = np.array(scalar)
-        array = amplitude(0.0, x2, screen, path)
+        array = klyshko_amplitude_quadrature(0.0, x2, screen, path)
         assert array.shape == x2.shape and array.dtype == complex
         assert np.abs(array - scalar).max() <= 1e-12 * np.abs(scalar).max()
-        if geometry != "tilt_fast_path":
-            # Reference: the folded-kernel integrand summed directly per x2.
-            xt, dx = engine._turbulence_grid(path, u_max=2.0)
-            field = np.exp(1j * screen.phase(xt)) * reference_prefield(xt, 0.0, path)
-            d = path.effective_distance_mm
-            direct = np.array(
-                [np.sum(np.exp(-1j * path.k * (x - xt) ** 2 / (2.0 * d)) * field) * dx for x in x2]
-            )
-            assert np.abs(array - direct).max() <= 1e-12 * np.abs(direct).max()
+        # Reference: the folded-kernel integrand summed directly per x2.
+        xt, dx = engine._turbulence_grid(path, u_max=2.0)
+        field = np.exp(1j * screen.phase(xt)) * reference_prefield(xt, 0.0, path)
+        d = path.effective_distance_mm
+        direct = np.array(
+            [np.sum(np.exp(-1j * path.k * (x - xt) ** 2 / (2.0 * d)) * field) * dx for x in x2]
+        )
+        assert np.abs(array - direct).max() <= 1e-12 * np.abs(direct).max()
 
     @pytest.mark.parametrize("d,shift,ws,x1", [
         (482.0, 330.0, 12.0, 0.0), (482.0, 330.0, 12.0, 0.01), (482.0, 330.0, 12.0, 0.5),
@@ -172,9 +166,9 @@ class TestAmplitude:
 
         path = crystal_path(2.0, 482.0)
         grid = np.linspace(-0.5, 0.5, 101)  # far narrower than the quadrature span
-        screen = GriddedScreen(grid, 0.0 * grid, grid[1] - grid[0])
+        screen = GriddedScreen(grid, 0.0 * grid)
         with pytest.raises(ValueError):
-            klyshko_amplitude(0.0, 0.0, screen, path)
+            klyshko_amplitude_quadrature(0.0, 0.0, screen, path)
 
 
 @pytest.mark.parametrize("route", ["monte_carlo_g2", "quadrature_g2", "expected_scan_rates"])

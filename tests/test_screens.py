@@ -103,7 +103,7 @@ class TestStructureFunction:
 
     def test_flat_screen_gives_zero(self):
         grid = np.linspace(0.0, 3.0, 61)
-        ens = ScreenEnsemble((GriddedScreen(grid, np.zeros_like(grid), 0.05),))
+        ens = ScreenEnsemble((GriddedScreen(grid, np.zeros_like(grid)),))
         est = estimate_structure_function(ens, [0.05, 0.5, 1.0])
         np.testing.assert_array_equal(est.values, 0.0)
 
@@ -130,7 +130,7 @@ class TestStructureFunction:
                 if isinstance(screen, TiltScreen):
                     samples[i] = (screen.slope_rad_per_mm * r) ** 2
                 else:
-                    lag = int(round(r / screen.spacing_mm))
+                    lag = int(round(r / (screen.x_mm[1] - screen.x_mm[0])))
                     diff = screen.phase_rad[lag:] - screen.phase_rad[: screen.x_mm.size - lag]
                     samples[i] = np.mean(diff**2)
             values.append(samples.mean())
@@ -155,12 +155,27 @@ class TestStructureFunction:
     @pytest.mark.parametrize("mix", ["tilt_and_gridded", "two_grids"])
     def test_mixed_ensemble_rejected(self, mix):
         grid = np.arange(64) * 0.05
-        first = GriddedScreen(grid, 0.3 * grid, 0.05)
+        first = GriddedScreen(grid, 0.3 * grid)
         other = TiltScreen(0.3) if mix == "tilt_and_gridded" else GriddedScreen(
-            grid + 1.0, 0.3 * grid, 0.05)
+            grid + 1.0, 0.3 * grid)
         for screens in ((first, other), (other, first)):
             with pytest.raises(ValueError):
                 estimate_structure_function(ScreenEnsemble(screens), [0.1])
+
+    def test_step_taken_from_grid(self):
+        # A linear phase 0.3 x on a 0.05 mm grid: D(r) = (0.3 r)^2 at every
+        # lattice separation, read with the grid's own step.
+        grid = np.arange(64) * 0.05
+        est = estimate_structure_function(ScreenEnsemble((GriddedScreen(grid, 0.3 * grid),)),
+                                          [0.05, 0.1, 0.5])
+        assert est.valid.all()
+        np.testing.assert_allclose(est.values, [0.000225, 0.0009, 0.0225], rtol=1e-12)
+
+    def test_nonuniform_grid_rejected(self):
+        grid = np.concatenate([np.arange(32) * 0.05, 1.6 + np.arange(32) * 0.1])
+        ens = ScreenEnsemble((GriddedScreen(grid, 0.3 * grid), GriddedScreen(grid, 0.1 * grid)))
+        with pytest.raises(ValueError, match="uniform"):
+            estimate_structure_function(ens, [0.1])
 
 
 class TestPowerlawScreens:
