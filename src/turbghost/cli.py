@@ -201,6 +201,8 @@ def _cmd_campaign(args):
 def _cmd_reproduce(args):
     if args.master_seed is not None and args.figure != "fig3":
         raise ConfigError("--master-seed is read only by --figure fig3")
+    if args.master_seed is not None and args.master_seed < 0:
+        raise ConfigError("--master-seed must be >= 0")
     seeded = {} if args.master_seed is None else {"master_seed": args.master_seed}
     written = reproduce_figure(args.figure, args.output_dir, **seeded)
     for path in written:

@@ -147,18 +147,18 @@ def _turbulence_grid(path: KlyshkoPath, u_max):
     return (np.arange(n) - n // 2) * dx, dx
 
 
-def _folded_integrand(path: KlyshkoPath, x1, u_max):
-    """Turbulence grid, its spacing, and the folded integrand on it:
-    g(x_t) = P(x_t; x1) exp(-i k x_t^2 / (2 d)), the field reaching the
-    turbulence plane from image-arm position x1 times the image-arm chirp
-    about x2 = 0.  Every factor is a quadratic-phase Gaussian, so g is
-    exp((a x_t + b) x_t + c).  For a shifted crystal P is the source integral
-    sqrt(pi/beta) exp(gamma^2/(4 beta) + eta), beta = 1/(2 w_s^2) +
-    i k (l1-delta)/(2 l1 delta), gamma = i k (x1/delta - x_t/l1),
-    eta = i k (x_t^2/(2 l1) - x1^2/(2 delta)).  Re(beta) > 0 makes Re(a) < 0;
-    c holds the x1-only terms and the phase of sqrt(pi/beta), and Re(c) puts
-    the peak of |g| at 1.  At delta = 0 the source pins x_s = x1."""
-    xt, dx = _turbulence_grid(path, u_max)
+def _folded_exponent(path: KlyshkoPath, x1):
+    """Coefficients a, b, c of the folded integrand's exponent: on the
+    turbulence grid g(x_t) = P(x_t; x1) exp(-i k x_t^2 / (2 d)) is
+    exp((a x_t + b) x_t + c), the field reaching the turbulence plane from
+    image-arm position x1 times the image-arm chirp about x2 = 0.  Every
+    factor is a quadratic-phase Gaussian.  For a shifted crystal P is the
+    source integral sqrt(pi/beta) exp(gamma^2/(4 beta) + eta),
+    beta = 1/(2 w_s^2) + i k (l1-delta)/(2 l1 delta),
+    gamma = i k (x1/delta - x_t/l1), eta = i k (x_t^2/(2 l1) - x1^2/(2 delta)).
+    Re(beta) > 0 makes Re(a) < 0; c holds the x1-only terms and the phase of
+    sqrt(pi/beta), and Re(c) puts the peak of |g| at 1.  At delta = 0 the
+    source pins x_s = x1."""
     k, d, l1, delta = path.k, path.effective_distance_mm, path.l1_eff_mm, path.shift_mm
     if l1 <= 0:
         raise ValueError("quadrature requires a positive crystal-to-turbulence distance")
@@ -172,28 +172,83 @@ def _folded_integrand(path: KlyshkoPath, x1, u_max):
         b = k**2 * x1 / (2.0 * beta * delta * l1)
         phase = -k * x1**2 / (2.0 * delta) - ((k * x1 / delta) ** 2 / (4.0 * beta)).imag
         c = complex(b.real**2 / (4.0 * a.real), phase - np.angle(beta) / 2.0)
+    return a, b, c
+
+
+def _folded_integrand(path: KlyshkoPath, x1, u_max):
+    """Turbulence grid, its spacing, and the folded integrand
+    exp((a x_t + b) x_t + c) on it, a, b, c from ``_folded_exponent``."""
+    xt, dx = _turbulence_grid(path, u_max)
+    a, b, c = _folded_exponent(path, x1)
     return xt, dx, np.exp((a * xt + b) * xt + c)
 
 
+def _uniform_x2(x2):
+    """First value and step of a finite, uniformly spaced x2 (flattened)."""
+    if not np.all(np.isfinite(x2)):
+        raise ValueError("x2 must be finite")
+    if x2.size < 2:
+        return float(x2[0]), 0.0
+    step = (x2[-1] - x2[0]) / (x2.size - 1)
+    if np.abs(x2 - (x2[0] + np.arange(x2.size) * step)).max() > 1e-9 * abs(step):
+        raise ValueError("x2 must be uniformly spaced")
+    return float(x2[0]), float(step)
+
+
 def klyshko_amplitude_quadrature(x1, x2, screen, path: KlyshkoPath):
-    """Direct quadrature of the folded kernels for one screen realization.
-    h = g exp(i phi), g from ``_folded_integrand``, is built once per call;
-    each x2 (a scalar, giving a ``complex``, or an array) is then
-    exp(-i k x2^2 / (2 d)) dx times one dot product of h with exp(i k x2 x_t / d)."""
-    xt, dx, h = _folded_integrand(path, x1, u_max=2.0)
-    phase = screen.phase(xt)
-    kernel = np.empty_like(h)
-    np.cos(phase, out=kernel.real)
-    np.sin(phase, out=kernel.imag)
-    h *= kernel
+    """Direct quadrature of the folded kernels for one screen realization,
+
+        A(x1, x2) = exp(-i k x2^2 / (2 d)) dx sum_j g_j exp(i phi_j) exp(i k x2 x_j / d),
+
+    on the turbulence grid x_j = j dx, |j| <= n // 2, g from
+    ``_folded_exponent`` and phi the screen phase.  ``x2`` is a scalar (giving a ``complex``) or an
+    array, read flattened, that must be finite and uniformly spaced,
+    x2_m = x2_0 + m s (``ValueError`` otherwise).  The screen phase and the
+    first x2's linear phase join the folded exponent, so the grid takes one
+    complex exponential per call, and a single x2 is the plain sum.  For
+    M > 1 values, m j = (m^2 + j^2 - (m - j)^2) / 2 makes the sum a
+    Bluestein chirp-z transform: the chirp exp(i theta j^2 / 2),
+    theta = k s dx / d, joins the exponent too, and one convolution with
+    exp(-i theta l^2 / 2) takes three FFTs of length n + M - 1 or more.
+    """
+    shape = np.shape(x2)
+    flat = np.asarray(x2, dtype=float).ravel()
+    if flat.size == 0:
+        return np.empty(shape, dtype=complex)
+    x20, step = _uniform_x2(flat)
+    xt, dx = _turbulence_grid(path, u_max=2.0)
+    a, b, c = _folded_exponent(path, x1)
     kd = path.k / path.effective_distance_mm
-    out = np.empty(np.shape(x2), dtype=complex)
-    for i, x in np.ndenumerate(np.asarray(x2, dtype=float)):
-        np.multiply(xt, kd * x, out=phase)
-        np.cos(phase, out=kernel.real)
-        np.sin(phase, out=kernel.imag)
-        out[i] = np.exp(-0.5j * kd * x**2) * np.dot(kernel, h) * dx
-    return complex(out) if out.ndim == 0 else out
+    e = xt * a
+    e += b + 1j * kd * x20
+    e *= xt
+    e += c
+    phase = e.imag
+    phase += screen.phase(xt)
+    if flat.size == 1:
+        sums, q = np.exp(e, out=e).sum(keepdims=True), np.zeros(1)
+    else:
+        # Chirp phases theta l^2 / 2 for l >= 0.  The grid and the convolution
+        # read the same values, so their rounding cancels in the identity.
+        n, h = xt.size, xt.size // 2
+        q = (0.5 * kd * step * dx) * np.arange(h + flat.size) ** 2
+        phase[:h] += q[h:0:-1]
+        phase[h:] += q[: h + 1]
+        # Circular convolution with the chirp at l mod size, l in
+        # [-h, h + M - 1]: every lag m - j of the sum, none wrapped onto another.
+        size = _fast_len(n + flat.size - 1)
+        buf = np.zeros(size, dtype=complex)
+        np.exp(e, out=buf[:n])
+        del e, phase
+        chirp = np.zeros(size, dtype=complex)
+        chirp[: q.size] = np.exp(-1j * q)
+        chirp[size - h:] = chirp[h:0:-1]
+        np.fft.fft(buf, out=buf)
+        buf *= np.fft.fft(chirp, out=chirp)
+        sums = np.fft.ifft(buf, out=buf)[h: h + flat.size]
+    x2m = x20 + np.arange(flat.size) * step
+    out = np.exp(1j * (q[: flat.size] - 0.5 * kd * x2m**2)) * sums * dx
+    return complex(out[0]) if not shape else out.reshape(shape)
 
 
 def monte_carlo_g2(path: KlyshkoPath, alpha_per_mm2, n_screens, master_seed):

@@ -380,6 +380,13 @@ class TestCLI:
         assert "--master-seed" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_reproduce_refuses_negative_master_seed(self, tmp_path, capsys):
+        out = tmp_path / "figs"
+        rc = main(["reproduce", "--figure", "fig3", "--master-seed", "-1", "--output-dir", str(out)])
+        assert rc == 2
+        assert "configuration error: --master-seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_reproduce_fig3_reads_master_seed(self, tmp_path):
         files = {}
         for seed in (None, "20260809", "5"):

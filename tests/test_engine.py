@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -119,17 +120,22 @@ class TestAmplitude:
         )
         np.testing.assert_allclose(grid_amp, tilt_amp, rtol=1e-6)
 
-    @pytest.mark.parametrize("geometry", ["tilt_shifted", "gridded_flat"])
+    @pytest.mark.parametrize("geometry", ["tilt_shifted", "gridded_flat", "wide_scan_shifted"])
     def test_array_x2_matches_scalar_calls(self, geometry):
         from turbghost.screens import GriddedScreen
 
         path, screen = crystal_path(2.0, 482.0, shift=330.0, ws=12.0), TiltScreen(0.4)
+        points = 7
         if geometry == "gridded_flat":
             grid = np.linspace(-30.0, 30.0, 20001)
             path = crystal_path(2.0, 482.0)
             screen = GriddedScreen(grid, 0.4 * grid + 0.1 * np.sin(grid))
-        # Seven points across the displaced peak, x2 = -a d / k.
-        x2 = -0.4 * path.effective_distance_mm / path.k + np.linspace(-0.002, 0.002, 7)
+        if geometry == "wide_scan_shifted":
+            # A chirp-z-sized scan on the n = 57,771 shifted grid.
+            path, points = crystal_path(2.0, 152.0, shift=330.0, ws=12.0), 101
+            assert engine._turbulence_grid(path, u_max=2.0)[0].size == 57_771
+        # Points across the displaced peak, x2 = -a d / k.
+        x2 = -0.4 * path.effective_distance_mm / path.k + np.linspace(-0.002, 0.002, points)
         scalar = [klyshko_amplitude_quadrature(0.0, x, screen, path) for x in x2]
         assert all(type(a) is complex for a in scalar)
         scalar = np.array(scalar)
@@ -160,6 +166,38 @@ class TestAmplitude:
         assert dx == spacing
         ref = reference_prefield(xt, x1, path) * np.exp(-1j * path.k * xt**2 / (2.0 * d))
         assert np.abs(g - ref).max() <= 1e-9 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("x2", [
+        [0.0, 0.001, 0.003],
+        np.linspace(-0.002, 0.002, 9) ** 3,
+        [0.0, np.nan, 0.002],
+        [0.0, 0.001, np.inf],
+        np.nan,
+        -np.inf,
+    ], ids=["uneven", "cubic", "nan", "inf", "scalar-nan", "scalar-inf"])
+    def test_x2_must_be_finite_and_uniform(self, x2):
+        path = crystal_path(2.0, 482.0)
+        with pytest.raises(ValueError, match="x2"):
+            klyshko_amplitude_quadrature(0.0, x2, TiltScreen(0.5), path)
+
+    def test_empty_x2_gives_empty_array(self):
+        out = klyshko_amplitude_quadrature(0.0, np.empty(0), TiltScreen(0.5), crystal_path(2.0, 482.0))
+        assert out.shape == (0,) and out.dtype == complex
+
+    def test_array_x2_keeps_its_shape(self):
+        path, screen = crystal_path(2.0, 482.0), TiltScreen(0.5)
+        x2 = np.linspace(-0.004, 0.001, 6)
+        flat = klyshko_amplitude_quadrature(0.0, x2, screen, path)
+        grid = klyshko_amplitude_quadrature(0.0, x2.reshape(2, 3), screen, path)
+        assert grid.shape == (2, 3)
+        np.testing.assert_array_equal(grid.ravel(), flat)
+        one = klyshko_amplitude_quadrature(0.0, x2[:1], screen, path)
+        assert one.shape == (1,) and one[0] == klyshko_amplitude_quadrature(0.0, x2[0], screen, path)
+
+    def test_scalar_x2_gives_complex(self):
+        path = crystal_path(2.0, 482.0)
+        for x2 in (0.0, -0.01, np.float64(0.002), np.array(0.001)):
+            assert type(klyshko_amplitude_quadrature(0.0, x2, TiltScreen(0.5), path)) is complex
 
     def test_gridded_screen_outside_support_rejected(self):
         from turbghost.screens import GriddedScreen
@@ -259,6 +297,18 @@ class TestQuadratureG2:
     def test_zero_alpha_rejected(self):
         with pytest.raises(ValueError):
             quadrature_g2(crystal_path(0.0, 482.0), 0.0)
+
+    def test_golden_sha256(self):
+        # Pinning test: the criterion-4 kernels (w_s and 2 w_s) keep their
+        # bits.  The folded exponent they share with the per-screen
+        # amplitude must not move them.
+        h = hashlib.sha256()
+        for alpha, d, shift, ws in ((0.5, 482.0, 0.0, 4.0), (2.0, 482.0, 0.0, 4.0), (2.0, 152.0, 330.0, 12.0)):
+            for width in (ws, 2.0 * ws):
+                kern = quadrature_g2(crystal_path(alpha, d, shift, width), alpha)
+                h.update(np.ascontiguousarray(kern.offsets_mm, dtype="<f8").tobytes())
+                h.update(np.ascontiguousarray(kern.values, dtype="<f8").tobytes())
+        assert h.hexdigest() == "2d0e26f6490e48b2c8244d543e737d2ca03ac713724cae9d8b14663f90bd94f5"
 
     @staticmethod
     def direct_lag_sums(path, alpha, offsets):

@@ -58,9 +58,15 @@ def cli(argv):
     "from turbghost.model import ObjectPattern, OpticsConfig, TurbulenceSpec\n"
     "path = KlyshkoPath(OpticsConfig(), TurbulenceSpec.crystal_side(2.0, 482.0))\n"
     "synthesize_image(monte_carlo_g2(path, 2.0, 2000, 7), ObjectPattern())",
+    "import numpy as np\n"
+    "from turbghost.engine import KlyshkoPath, klyshko_amplitude_quadrature\n"
+    "from turbghost.model import OpticsConfig, TurbulenceSpec\n"
+    "from turbghost.screens import TiltScreen\n"
+    "path = KlyshkoPath(OpticsConfig(shift_mm=330.0), TurbulenceSpec.crystal_side(2.0, 482.0), 4.0)\n"
+    "klyshko_amplitude_quadrature(0.0, np.linspace(-0.01, 0.01, 21), TiltScreen(0.4), path)",
 ], ids=["import", "analytic", "analytic-curve", "simulate", "kernel-analytic", "kernel-mc",
         "kernel-quadrature", "fit", "campaign", "version", "load_config", "tilt-slopes",
-        "synthesize-sampled-kernel"])
+        "synthesize-sampled-kernel", "amplitude-array-x2"])
 def test_command_loads_no_scipy(code, tmp_path):
     assert scipy_modules_after(code, tmp_path) == []
 
