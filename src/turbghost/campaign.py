@@ -21,6 +21,7 @@ import numpy as np
 from . import __version__
 from .config import (
     ConfigValueError,
+    EngineSettings,
     ExperimentConfig,
     bundled_config_path,
     config_hash,
@@ -144,12 +145,10 @@ def _run_point(config: ExperimentConfig, index, spec: TurbulenceSpec, factor):
     d = effective_distance(spec, optics)
     ratio = validity_ratio(d, spec.alpha_per_mm2, optics.k, pattern.envelope_width_mm)
     seed = point_seed(config.engine.master_seed, index)
-    placement = "crystal_side" if spec.side == "crystal" else "object_side"
-    placement_distance = spec.l1_mm if spec.side == "crystal" else spec.distance_from_object_mm
     base = dict(
         index=index,
-        placement=placement,
-        placement_distance_mm=placement_distance,
+        placement=spec.placement,
+        placement_distance_mm=spec.distance_mm,
         alpha_per_mm2=spec.alpha_per_mm2,
         effective_distance_mm=d,
         model_visibility=model_visibility(optics, pattern, spec.alpha_per_mm2, d),
@@ -178,8 +177,12 @@ def _run_point(config: ExperimentConfig, index, spec: TurbulenceSpec, factor):
 
 def run_campaign(config: ExperimentConfig):
     """Simulate and fit every sweep point; deterministic per master seed.
-    A slit too wide for the fringe is a ConfigValueError before any point runs."""
+    A slit too wide for the fringe, or a square-wave pattern (whose fit reads
+    harmonics the sinusoid law does not model), is a ConfigValueError before
+    any point runs."""
     start = time.perf_counter()
+    if config.pattern.form == "squarewave":
+        raise ConfigValueError("pattern.form: a squarewave's fit does not measure the sinusoid law")
     try:
         factor = slit_factor(config.pattern.fringe_wavenumber, config.detector.slit_width_mm)
     except ValueError as exc:
@@ -260,7 +263,7 @@ def _write_curve_csv(path, header, columns):
         fh.write("\n".join(lines) + "\n")
 
 
-def reproduce_figure(which, out_dir, master_seed=20260809):
+def reproduce_figure(which, out_dir, master_seed=EngineSettings.master_seed):
     """Emit the model-curve (and for fig3, synthetic-scan) CSV data files.
 
     Every figure is drawn from the two bundled paper setups: their optics,
@@ -273,10 +276,13 @@ def reproduce_figure(which, out_dir, master_seed=20260809):
     fig4: visibility vs turbulence-to-object distance, both configurations.
     fig5: visibility vs crystal-to-turbulence distance, both
     configurations, plus the central-image-plane marker and curve crossing.
-    Returns the list of files written.
+    Returns the list of files written; a bad ``which`` or a negative
+    ``master_seed`` is a ValueError before any directory is made.
     """
     if which not in ("fig3", "fig4", "fig5"):
         raise ValueError("which must be one of fig3, fig4, fig5")
+    if master_seed < 0:
+        raise ValueError(f"master_seed must be >= 0, got {master_seed}")
     os.makedirs(out_dir, exist_ok=True)
     unshifted, shifted = setups = _paper_setups()
     written = []

@@ -27,7 +27,8 @@ from .campaign import (
     write_campaign_csv,
     write_report_json,
 )
-from .config import ConfigError, bundled_config_path, load_config_dict, read_config_json
+from .config import (ConfigError, EngineSettings, bundled_config_path, load_config_dict,
+                     read_config_json)
 from .engine import KlyshkoPath, monte_carlo_g2, quadrature_g2, fit_kernel_sigma
 from .fitting import fit_scan, slit_correction
 from .model import (
@@ -116,8 +117,9 @@ def _cmd_analytic(args):
 
 
 # kernel flags that one method reads: name -> (that method, default).
-_KERNEL_FLAGS = {"shift_mm": ("quadrature", 0.0), "source_width_mm": ("quadrature", 4.0),
-                 "n_realizations": ("mc", 10000), "master_seed": ("mc", 20260809)}
+_KERNEL_FLAGS = {"shift_mm": ("quadrature", 0.0),
+                 "source_width_mm": ("quadrature", KlyshkoPath.source_width_mm),
+                 "n_realizations": ("mc", 10000), "master_seed": ("mc", EngineSettings.master_seed)}
 
 
 def _cmd_kernel(args):
@@ -267,7 +269,7 @@ def build_parser():
     p.add_argument("--figure", choices=("fig3", "fig4", "fig5"), required=True)
     p.add_argument("--output-dir", default=".")
     p.add_argument("--master-seed", type=int, default=None,
-                   help="--figure fig3 only (default 20260809)")
+                   help=f"--figure fig3 only (default {EngineSettings.master_seed})")
     p.set_defaults(func=_cmd_reproduce)
     return parser
 

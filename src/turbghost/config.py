@@ -21,8 +21,9 @@ from dataclasses import asdict, dataclass, field, fields
 from importlib import resources
 
 from .engine import KlyshkoPath
-from .model import ObjectPattern, OpticsConfig, TurbulenceSpec, fringe_wavenumber_from_cycles
-from .scan import DetectorModel
+from .model import (PATTERN_FORMS, PLACEMENTS, ObjectPattern, OpticsConfig, TurbulenceSpec,
+                    fringe_wavenumber_from_cycles)
+from .scan import SCAN_MODES, DetectorModel
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -41,7 +42,6 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
-SCAN_MODES = ("analytic", "kernel")
 
 
 class ConfigError(Exception):
@@ -68,7 +68,7 @@ class EngineSettings:
     scan_points: int = 160
     scan_center_mm: float = 0.0
     mode: str = field(default="analytic", metadata={"choices": SCAN_MODES})
-    source_width_mm: float = 4.0
+    source_width_mm: float = KlyshkoPath.source_width_mm
 
     def __post_init__(self):
         if self.master_seed < 0:
@@ -76,7 +76,7 @@ class EngineSettings:
         if self.scan_points < 2:
             raise ValueError("scan_points must be >= 2")
         if self.mode not in SCAN_MODES:
-            raise ValueError("mode must be 'analytic' or 'kernel'")
+            raise ValueError(f"mode must be one of {SCAN_MODES}")
         if not self.source_width_mm > 0:
             raise ValueError("source_width_mm must be positive")
 
@@ -185,7 +185,7 @@ _PATTERN_KEYS = (
     "envelope_width_mm", "fringe_cycles_per_mm", "fringe_wavenumber_rad_per_mm",
     "form", "intrinsic_visibility",
 )
-_SWEEP_KEYS = ("placement", "l1_mm", "distance_from_object_mm", "alpha_per_mm2", "exponent")
+_SWEEP_KEYS = ("placement", *PLACEMENTS.values(), "alpha_per_mm2", "exponent")
 
 
 def _build_pattern(node):
@@ -206,7 +206,7 @@ def _build_pattern(node):
     radians = _number(node, "pattern", "fringe_wavenumber_rad_per_mm")
     if radians is not None:
         kwargs["fringe_wavenumber"] = radians
-    form = _string(node, "pattern", "form", choices={"sinusoid", "squarewave"})
+    form = _string(node, "pattern", "form", choices=PATTERN_FORMS)
     if form is not None:
         kwargs["form"] = form
     vis = _number(node, "pattern", "intrinsic_visibility")
@@ -218,7 +218,7 @@ def _build_pattern(node):
 
 def _build_sweep_point(node, path):
     node = _take(node, path, _SWEEP_KEYS)
-    placement = _string(node, path, "placement", choices={"crystal_side", "object_side"})
+    placement = _string(node, path, "placement", choices=PLACEMENTS)
     if placement is None:
         raise ConfigSchemaError(f"{path}.placement: required key missing")
     alpha = _number(node, path, "alpha_per_mm2", required=True)
@@ -228,17 +228,13 @@ def _build_sweep_point(node, path):
         raise ConfigValueError(
             f"{path}.exponent: only the square law (2.0) is implemented, got {exponent}"
         )
-    if placement == "crystal_side":
-        l1 = _number(node, path, "l1_mm", required=True)
-        if "distance_from_object_mm" in node:
-            raise ConfigSchemaError(f"{path}: crystal_side takes l1_mm, not distance_from_object_mm")
-        with _naming_key(path, _SWEEP_KEYS):
-            return TurbulenceSpec.crystal_side(alpha, l1, exponent=exponent)
-    dist = _number(node, path, "distance_from_object_mm", required=True)
-    if "l1_mm" in node:
-        raise ConfigSchemaError(f"{path}: object_side takes distance_from_object_mm, not l1_mm")
+    key = PLACEMENTS[placement]
+    dist = _number(node, path, key, required=True)
+    for other in PLACEMENTS.values():
+        if other != key and other in node:
+            raise ConfigSchemaError(f"{path}: {placement} takes {key}, not {other}")
     with _naming_key(path, _SWEEP_KEYS):
-        return TurbulenceSpec.object_side(alpha, dist, exponent=exponent)
+        return TurbulenceSpec(alpha, placement, dist, exponent)
 
 
 _TOP_KEYS = {
@@ -311,18 +307,8 @@ def config_to_dict(config: ExperimentConfig):
     ``output_dir`` is left out: it is a deployment path and changes no
     number, so it is not part of the echo or the config hash.
     """
-    sweep = []
-    for spec in config.sweep:
-        entry = {
-            "placement": "crystal_side" if spec.side == "crystal" else "object_side",
-            "alpha_per_mm2": spec.alpha_per_mm2,
-            "exponent": spec.exponent,
-        }
-        if spec.side == "crystal":
-            entry["l1_mm"] = spec.l1_mm
-        else:
-            entry["distance_from_object_mm"] = spec.distance_from_object_mm
-        sweep.append(entry)
+    sweep = [{"placement": s.placement, PLACEMENTS[s.placement]: s.distance_mm,
+              "alpha_per_mm2": s.alpha_per_mm2, "exponent": s.exponent} for s in config.sweep]
     return {
         "schema_version": SCHEMA_VERSION,
         "label": config.label,

@@ -22,6 +22,8 @@ import numpy as np
 
 __all__ = [
     "VALIDITY_WARN_THRESHOLD",
+    "PLACEMENTS",
+    "PATTERN_FORMS",
     "OpticsConfig",
     "TurbulenceSpec",
     "ObjectPattern",
@@ -120,51 +122,45 @@ class OpticsConfig:
         return wavenumber(wavelength_mm=self.wavelength_mm)
 
 
+#: Each turbulence placement, mapped to the config key naming its distance:
+#: l1 from the crystal, or the distance from the object.
+PLACEMENTS = {"crystal_side": "l1_mm", "object_side": "distance_from_object_mm"}
+
+#: Object fringe forms: a cosine carrier or its sign (equal opaque/clear bars).
+PATTERN_FORMS = ("sinusoid", "squarewave")
+
+
 @dataclass(frozen=True)
 class TurbulenceSpec:
-    """Thin turbulent sheet: strength, structure-function exponent, placement.
+    """Thin turbulent sheet: strength, placement, distance, structure-function exponent.
 
     ``alpha_per_mm2`` parameterizes the wave structure function
     ``D(r) = alpha * r**exponent`` (mm^-2); ``exponent`` must be 2.0, the
-    only law the visibility law and kernels model.  The sheet sits either on
-    the crystal side of the object-arm lens (``l1_mm`` from the crystal) or
-    on the object side (``distance_from_object_mm`` from the object).
+    only law the visibility law and kernels model.  ``placement`` is a key
+    of ``PLACEMENTS``; ``distance_mm`` is l1 from the crystal on the
+    crystal side, or the distance from the object on the object side.
     """
 
     alpha_per_mm2: float
+    placement: str
+    distance_mm: float
     exponent: float = 2.0
-    side: str = "crystal"
-    l1_mm: float | None = None
-    distance_from_object_mm: float | None = None
 
     def __post_init__(self):
         if not self.alpha_per_mm2 >= 0:
             raise ValueError("alpha_per_mm2 must be >= 0")
         if self.exponent != 2.0:
             raise ValueError(f"exponent must be 2.0 (square law only), got {self.exponent}")
-        if self.side == "crystal":
-            if self.l1_mm is None or self.distance_from_object_mm is not None:
-                raise ValueError("crystal-side placement takes l1_mm only")
-        elif self.side == "object":
-            if self.distance_from_object_mm is None or self.l1_mm is not None:
-                raise ValueError(
-                    "object-side placement takes distance_from_object_mm only"
-                )
-        else:
-            raise ValueError(f"side must be 'crystal' or 'object', got {self.side!r}")
+        if self.placement not in PLACEMENTS:
+            raise ValueError(f"placement must be one of {sorted(PLACEMENTS)}, got {self.placement!r}")
 
     @classmethod
     def crystal_side(cls, alpha_per_mm2, l1_mm, exponent=2.0):
-        return cls(alpha_per_mm2, exponent=exponent, side="crystal", l1_mm=l1_mm)
+        return cls(alpha_per_mm2, "crystal_side", l1_mm, exponent)
 
     @classmethod
     def object_side(cls, alpha_per_mm2, distance_from_object_mm, exponent=2.0):
-        return cls(
-            alpha_per_mm2,
-            exponent=exponent,
-            side="object",
-            distance_from_object_mm=distance_from_object_mm,
-        )
+        return cls(alpha_per_mm2, "object_side", distance_from_object_mm, exponent)
 
 
 def effective_distance(spec: TurbulenceSpec, config: OpticsConfig):
@@ -175,21 +171,13 @@ def effective_distance(spec: TurbulenceSpec, config: OpticsConfig):
     the distance from the object itself.  Only the square of the returned
     value enters the visibility law, so the sign is informational.
     """
-    if spec.side == "crystal":
-        l1 = spec.l1_mm
-        if not 0.0 <= l1 <= config.object_arm_crystal_to_lens_mm:
-            raise ValueError(
-                f"l1_mm = {l1} outside crystal-to-lens range "
-                f"[0, {config.object_arm_crystal_to_lens_mm}]"
-            )
-        return l1 - config.shift_mm
-    dist = spec.distance_from_object_mm
-    if not 0.0 <= dist <= config.lens_to_detector_mm:
-        raise ValueError(
-            f"distance_from_object_mm = {dist} outside lens-to-detector range "
-            f"[0, {config.lens_to_detector_mm}]"
-        )
-    return dist
+    dist = spec.distance_mm
+    crystal = spec.placement == "crystal_side"
+    span = config.object_arm_crystal_to_lens_mm if crystal else config.lens_to_detector_mm
+    if not 0.0 <= dist <= span:
+        name = "crystal-to-lens" if crystal else "lens-to-detector"
+        raise ValueError(f"{PLACEMENTS[spec.placement]} = {dist} outside {name} range [0, {span}]")
+    return dist - config.shift_mm if crystal else dist
 
 
 @dataclass(frozen=True)
@@ -211,8 +199,8 @@ class ObjectPattern:
             raise ValueError("envelope_width_mm must be positive")
         if not self.fringe_wavenumber > 0:
             raise ValueError("fringe_wavenumber must be positive")
-        if self.form not in ("sinusoid", "squarewave"):
-            raise ValueError(f"form must be sinusoid or squarewave, got {self.form!r}")
+        if self.form not in PATTERN_FORMS:
+            raise ValueError(f"form must be one of {PATTERN_FORMS}, got {self.form!r}")
         if not 0.0 <= self.intrinsic_visibility <= 1.0:
             raise ValueError("intrinsic_visibility must be in [0, 1]")
 

@@ -17,6 +17,7 @@ from .engine import KlyshkoPath, _check_alpha, synthesize_image
 from .model import AnalyticKernel, ObjectPattern, kernel_from_turbulence, model_visibility
 
 __all__ = [
+    "SCAN_MODES",
     "DetectorModel",
     "ScanData",
     "ScanCSVError",
@@ -31,6 +32,9 @@ __all__ = [
 ]
 
 _SCAN_SEED_TAG = 0x5CA7
+
+#: Scan synthesis routes; see ``expected_scan_rates``.
+SCAN_MODES = ("analytic", "kernel")
 
 
 @dataclass(frozen=True)
@@ -154,8 +158,8 @@ def expected_scan_rates(
     ``alpha_per_mm2`` must equal the path's.
     """
     _check_alpha(path, alpha_per_mm2)
-    if mode not in ("analytic", "kernel"):
-        raise ValueError(f"mode must be 'analytic' or 'kernel', got {mode!r}")
+    if mode not in SCAN_MODES:
+        raise ValueError(f"mode must be one of {SCAN_MODES}, got {mode!r}")
     positions = np.asarray(positions_mm, dtype=float)
     w = pattern.envelope_width_mm
     period = 2.0 * math.pi / pattern.fringe_wavenumber

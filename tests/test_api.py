@@ -81,6 +81,11 @@ REMOVED = {
     "curve_crossing(lo_mm)": lambda: campaign.curve_crossing(2.0, K0, lo_mm=50.0),
     "curve_crossing(hi_mm)": lambda: campaign.curve_crossing(2.0, K0, hi_mm=329.0),
     "wavenumber(wavelength_um)": lambda: model.wavenumber(wavelength_um=0.65),
+    # A spec holds one placement (a key of model.PLACEMENTS) and one distance.
+    "TurbulenceSpec(side)": lambda: TurbulenceSpec(2.0, "crystal_side", 482.0, side="crystal"),
+    "TurbulenceSpec(l1_mm)": lambda: TurbulenceSpec(2.0, "crystal_side", 482.0, l1_mm=482.0),
+    "TurbulenceSpec(distance_from_object_mm)": lambda: TurbulenceSpec(
+        2.0, "object_side", 203.0, distance_from_object_mm=203.0),
 }
 
 
@@ -188,3 +193,17 @@ def test_fitting_imports_only_model():
 
 def test_engine_reexports_the_kernel_width_fit():
     assert engine.fit_kernel_sigma is fitting.fit_kernel_sigma
+
+
+# Each experiment fact has one home that the other modules read: the
+# placement names in model.PLACEMENTS, the default master seed in
+# config.EngineSettings.
+FACT_HOMES = {"crystal_side": "model.py", "object_side": "model.py", 20260809: "config.py"}
+
+
+@pytest.mark.parametrize("filename", SOURCES)
+def test_experiment_facts_stated_in_their_home(filename):
+    stated = [node.value for node in ast.walk(_source_tree(filename))
+              if isinstance(node, ast.Constant) and type(node.value) in (str, int)
+              and node.value in FACT_HOMES and FACT_HOMES[node.value] != filename]
+    assert stated == []

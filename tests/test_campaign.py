@@ -13,7 +13,12 @@ from turbghost.campaign import (
     write_campaign_csv,
     write_report_json,
 )
-from turbghost.config import bundled_config_path, load_config_dict, read_config_json
+from turbghost.config import (
+    ConfigValueError,
+    bundled_config_path,
+    load_config_dict,
+    read_config_json,
+)
 from turbghost.model import fringe_wavenumber_from_cycles
 from turbghost.scan import read_scan_csv
 
@@ -130,6 +135,15 @@ class TestRunCampaign:
         digest = hashlib.sha256(json.dumps(model, sort_keys=True).encode("ascii")).hexdigest()
         assert digest == GOLDEN_MODEL_SHA256_SEED9[tag, v0]
 
+    def test_squarewave_refused_before_any_point(self, monkeypatch):
+        # The sinusoid law is the reported model_visibility; a square wave's
+        # fit reads its harmonics, so the campaign refuses it up front.
+        raw = read_config_json(bundled_config_path("paper_unshifted.json"))
+        raw["pattern"]["form"] = "squarewave"
+        monkeypatch.setattr("turbghost.campaign._run_point", None)
+        with pytest.raises(ConfigValueError, match=r"^pattern\.form"):
+            run_campaign(load_config_dict(raw))
+
     def test_programming_error_propagates(self, monkeypatch):
         def broken_fit(data):
             raise TypeError("broken fit")
@@ -199,6 +213,13 @@ class TestFigureData:
             with open(path, "rb") as fh:
                 digests[os.path.basename(path)] = hashlib.sha256(fh.read()).hexdigest()
         assert digests == GOLDEN_SHA256_SEED9
+
+    @pytest.mark.parametrize("which", ["fig3", "fig4", "fig5"])
+    def test_negative_master_seed_refused_before_any_directory(self, tmp_path, which):
+        out = tmp_path / "figs"
+        with pytest.raises(ValueError, match="master_seed"):
+            reproduce_figure(which, out, master_seed=-1)
+        assert not out.exists()
 
     @pytest.mark.parametrize("alpha", [0.0, -1.0])
     def test_crossing_needs_turbulence(self, alpha):

@@ -22,6 +22,7 @@ from turbghost.config import (
     config_to_dict,
     load_config,
     load_config_dict,
+    read_config_json,
 )
 from turbghost.fitting import fit_scan
 from turbghost.model import OpticsConfig, kernel_sigma
@@ -65,6 +66,27 @@ class TestBundledConfigs:
     def test_hash_stable(self):
         cfg = load_config(bundled_config_path("paper_unshifted.json"))
         assert config_hash(cfg) == config_hash(cfg)
+
+    # config_hash of each bundled config, and of the unshifted one with an
+    # object-side point appended, recorded while TurbulenceSpec still held
+    # a side and two optional distances: the echo must keep these bytes.
+    OBJECT_SIDE_POINT = {"placement": "object_side", "distance_from_object_mm": 203.0,
+                         "alpha_per_mm2": 2.0}
+    GOLDEN_CONFIG_HASH = {
+        ("paper_unshifted.json", False):
+            "42c57743fb18f471679ed9fb5f25e8d93a79b975e36c58a3f057ffafc7eb5d68",
+        ("paper_shifted.json", False):
+            "3d5f1a6c057b9440abdde42418f9fa2ffe88e9166b38e4f30ac5ad9bb2f93d73",
+        ("paper_unshifted.json", True):
+            "c5e7914ce4c0ad234a8e1101803ed5037f98f5d921b6aba464c2d669cc130f8a",
+    }
+
+    @pytest.mark.parametrize("name, object_side", sorted(GOLDEN_CONFIG_HASH))
+    def test_config_hash_golden(self, name, object_side):
+        raw = read_config_json(bundled_config_path(name))
+        if object_side:
+            raw["turbulence_sweep"].append(dict(self.OBJECT_SIDE_POINT))
+        assert config_hash(load_config_dict(raw)) == self.GOLDEN_CONFIG_HASH[name, object_side]
 
     def test_unknown_bundle_name(self):
         with pytest.raises(FileNotFoundError):
@@ -518,6 +540,21 @@ class TestCLI:
         assert rc == 2
         assert "configuration error: detector.slit_width_mm: slit too wide" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    def test_campaign_squarewave_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        rc = main(["campaign", "--config", str(minimal_config(tmp_path)),
+                   "--set", 'pattern.form="squarewave"',
+                   "--output-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert "configuration error: pattern.form" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    def test_simulate_accepts_squarewave(self, tmp_path, capsys):
+        out = tmp_path / "scan.csv"
+        rc = main(["simulate", "--config", str(minimal_config(tmp_path)),
+                   "--set", 'pattern.form="squarewave"', "--output", str(out)])
+        assert rc == 0
+        assert len(read_scan_csv(out)) == 120
 
     def test_fit_short_scan_is_nonconverged(self, tmp_path, capsys):
         # 0.8 mm of a 3 mm fringe: a non-converged result, printed, exit 3.

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from turbghost.model import (
+    PLACEMENTS,
     VALIDITY_WARN_THRESHOLD,
     AnalyticKernel,
     ObjectPattern,
@@ -100,14 +101,19 @@ class TestEffectiveDistance:
             effective_distance(TurbulenceSpec.crystal_side(1.0, -5.0), opt)
 
     def test_placement_field_consistency(self):
+        # One placement and one distance per spec: the placement must be a
+        # key of PLACEMENTS, and alpha and the exponent keep their checks.
         with pytest.raises(ValueError):
-            TurbulenceSpec(1.0, side="crystal", distance_from_object_mm=10.0)
+            TurbulenceSpec(-1.0, "crystal_side", 10.0)
         with pytest.raises(ValueError):
-            TurbulenceSpec(1.0, side="object", l1_mm=10.0)
-        with pytest.raises(ValueError):
-            TurbulenceSpec(-1.0, side="crystal", l1_mm=10.0)
-        with pytest.raises(ValueError):
-            TurbulenceSpec(1.0, exponent=2.5, side="crystal", l1_mm=10.0)
+            TurbulenceSpec(1.0, "crystal_side", 10.0, exponent=2.5)
+        with pytest.raises(ValueError, match="placement"):
+            TurbulenceSpec(1.0, "crystal", 10.0)
+
+    def test_placements_name_their_config_distance_key(self):
+        assert PLACEMENTS == {"crystal_side": "l1_mm", "object_side": "distance_from_object_mm"}
+        assert TurbulenceSpec.crystal_side(2.0, 432.0) == TurbulenceSpec(2.0, "crystal_side", 432.0)
+        assert TurbulenceSpec.object_side(2.0, 203.0) == TurbulenceSpec(2.0, "object_side", 203.0)
 
     @pytest.mark.parametrize("exponent", [1.0, 5.0 / 3.0])
     def test_non_square_law_exponent_rejected(self, exponent):
