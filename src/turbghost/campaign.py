@@ -29,7 +29,7 @@ from .config import (
     load_config,
 )
 from .engine import KlyshkoPath
-from .fitting import fit_scan, slit_factor
+from .fitting import fit_scan, slit_correction, slit_factor
 from .model import (
     TurbulenceSpec,
     VALIDITY_WARN_THRESHOLD,
@@ -49,10 +49,15 @@ __all__ = [
     "write_report_json",
     "write_campaign_csv",
     "curve_crossing",
+    "FIGURES",
+    "SEEDED_FIGURE",
     "reproduce_figure",
 ]
 
 _POINT_SEED_TAG = 0x9B1D
+# The figures reproduce_figure writes; only fig3's synthetic scans read a master seed.
+FIGURES = ("fig3", "fig4", "fig5")
+SEEDED_FIGURE = "fig3"
 
 
 def _fmt(value):
@@ -140,8 +145,8 @@ def _scan(config: ExperimentConfig, spec: TurbulenceSpec, seed):
                          n_positions=eng.scan_points, center_mm=eng.scan_center_mm, mode=eng.mode)
 
 
-def _run_point(config: ExperimentConfig, index, spec: TurbulenceSpec, factor):
-    optics, pattern = config.optics, config.pattern
+def _run_point(config: ExperimentConfig, index, spec: TurbulenceSpec):
+    optics, pattern, slit = config.optics, config.pattern, config.detector.slit_width_mm
     d = effective_distance(spec, optics)
     ratio = validity_ratio(d, spec.alpha_per_mm2, optics.k, pattern.envelope_width_mm)
     seed = point_seed(config.engine.master_seed, index)
@@ -161,13 +166,15 @@ def _run_point(config: ExperimentConfig, index, spec: TurbulenceSpec, factor):
         if not result.converged:
             return CampaignPoint(**base, error=f"fit failed: {result.message}")
         sigma = result.errors.get("visibility", float("nan"))
+        # The slit attenuates the fringe the scan holds, at the fitted k0.
+        k0 = result.model.fringe_wavenumber
         return CampaignPoint(
             **base,
             fitted_visibility=result.model.visibility,
             fitted_sigma=sigma,
-            slit_factor=factor,
-            corrected_visibility=min(result.model.visibility / factor, 1.0),
-            corrected_sigma=sigma / factor,
+            slit_factor=slit_factor(k0, slit),
+            corrected_visibility=min(slit_correction(result.model.visibility, k0, slit), 1.0),
+            corrected_sigma=slit_correction(sigma, k0, slit),
             converged=True,
         )
     # Numerical failures are recorded per point; programming errors propagate.
@@ -177,18 +184,19 @@ def _run_point(config: ExperimentConfig, index, spec: TurbulenceSpec, factor):
 
 def run_campaign(config: ExperimentConfig):
     """Simulate and fit every sweep point; deterministic per master seed.
-    A slit too wide for the fringe, or a square-wave pattern (whose fit reads
+    Each point is slit-corrected at its fitted fringe wavenumber.  A slit too
+    wide for the nominal fringe, or a square-wave pattern (whose fit reads
     harmonics the sinusoid law does not model), is a ConfigValueError before
     any point runs."""
     start = time.perf_counter()
     if config.pattern.form == "squarewave":
         raise ConfigValueError("pattern.form: a squarewave's fit does not measure the sinusoid law")
     try:
-        factor = slit_factor(config.pattern.fringe_wavenumber, config.detector.slit_width_mm)
+        slit_factor(config.pattern.fringe_wavenumber, config.detector.slit_width_mm)
     except ValueError as exc:
         raise ConfigValueError(f"detector.slit_width_mm: {exc}") from exc
     specs = list(config.sweep)
-    points = [_run_point(config, i, spec, factor) for i, spec in enumerate(specs)]
+    points = [_run_point(config, i, spec) for i, spec in enumerate(specs)]
     if specs:
         dmax = max(abs(p.effective_distance_mm) for p in points)
         curve_d = np.linspace(0.0, max(dmax, 1.0), 101)
@@ -279,8 +287,8 @@ def reproduce_figure(which, out_dir, master_seed=EngineSettings.master_seed):
     Returns the list of files written; a bad ``which`` or a negative
     ``master_seed`` is a ValueError before any directory is made.
     """
-    if which not in ("fig3", "fig4", "fig5"):
-        raise ValueError("which must be one of fig3, fig4, fig5")
+    if which not in FIGURES:
+        raise ValueError(f"which must be one of {', '.join(FIGURES)}")
     if master_seed < 0:
         raise ValueError(f"master_seed must be >= 0, got {master_seed}")
     os.makedirs(out_dir, exist_ok=True)
@@ -312,7 +320,7 @@ def reproduce_figure(which, out_dir, master_seed=EngineSettings.master_seed):
             fh.write(f"curve_crossing,{_fmt(crossing)}\n")
         written.append(meta)
 
-    if which == "fig3":
+    if which == SEEDED_FIGURE:
         scenarios = []
         for cfg, d_obj in zip(setups, (229.0, 203.0)):
             alpha = cfg.sweep[0].alpha_per_mm2

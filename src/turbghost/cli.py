@@ -21,6 +21,8 @@ import numpy as np
 
 from . import __version__
 from .campaign import (
+    FIGURES,
+    SEEDED_FIGURE,
     run_campaign,
     reproduce_figure,
     simulate_point,
@@ -201,8 +203,8 @@ def _cmd_campaign(args):
 
 
 def _cmd_reproduce(args):
-    if args.master_seed is not None and args.figure != "fig3":
-        raise ConfigError("--master-seed is read only by --figure fig3")
+    if args.master_seed is not None and args.figure != SEEDED_FIGURE:
+        raise ConfigError(f"--master-seed is read only by --figure {SEEDED_FIGURE}")
     if args.master_seed is not None and args.master_seed < 0:
         raise ConfigError("--master-seed must be >= 0")
     seeded = {} if args.master_seed is None else {"master_seed": args.master_seed}
@@ -266,10 +268,10 @@ def build_parser():
     p.set_defaults(func=_cmd_campaign)
 
     p = sub.add_parser("reproduce", help="emit figure data files")
-    p.add_argument("--figure", choices=("fig3", "fig4", "fig5"), required=True)
+    p.add_argument("--figure", choices=FIGURES, required=True)
     p.add_argument("--output-dir", default=".")
     p.add_argument("--master-seed", type=int, default=None,
-                   help=f"--figure fig3 only (default {EngineSettings.master_seed})")
+                   help=f"--figure {SEEDED_FIGURE} only (default {EngineSettings.master_seed})")
     p.set_defaults(func=_cmd_reproduce)
     return parser
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import re
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
@@ -116,7 +117,14 @@ def _number(node, path, key, default=None, required=False):
     value = node[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigSchemaError(f"{path}.{key}: expected a number, got {type(value).__name__}")
-    return float(value)
+    # json reads NaN and +-Infinity; an integer past the float range is infinite too.
+    try:
+        number = float(value)
+    except OverflowError:
+        number = -math.inf if value < 0 else math.inf
+    if not math.isfinite(number):
+        raise ConfigValueError(f"{path}.{key}: must be a finite number, got {number}")
+    return number
 
 
 def _integer(node, path, key):

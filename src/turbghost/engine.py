@@ -52,7 +52,7 @@ from .model import (
     effective_distance,
     kernel_sigma,
 )
-from .screens import mutual_coherence, tilt_slopes
+from .screens import TiltScreen, mutual_coherence, tilt_slopes
 
 __all__ = [
     "KlyshkoPath",
@@ -144,7 +144,9 @@ def _turbulence_grid(path: KlyshkoPath, u_max):
     dmin = min(x for x in (d, l1, delta) if x > 1e-9)
     dx = math.pi * dmin / (4.0 * path.k * half_span)
     n = int(math.ceil(2.0 * half_span / dx)) | 1
-    return (np.arange(n) - n // 2) * dx, dx
+    xt = np.arange(-(n // 2), n - n // 2, dtype=float)
+    xt *= dx
+    return xt, dx
 
 
 def _folded_exponent(path: KlyshkoPath, x1):
@@ -205,7 +207,11 @@ def klyshko_amplitude_quadrature(x1, x2, screen, path: KlyshkoPath):
     array, read flattened, that must be finite and uniformly spaced,
     x2_m = x2_0 + m s (``ValueError`` otherwise).  The screen phase and the
     first x2's linear phase join the folded exponent, so the grid takes one
-    complex exponential per call, and a single x2 is the plain sum.  For
+    complex exponential per call, and a single x2 is the plain sum.  A
+    ``TiltScreen``'s phase is linear and joins the exponent's x_t
+    coefficient next to k x2_0 / d; a gridded screen's phase is added on
+    the grid.  A single x2 therefore allocates only the grid and the
+    exponent under a tilt, whatever n is.  For
     M > 1 values, m j = (m^2 + j^2 - (m - j)^2) / 2 makes the sum a
     Bluestein chirp-z transform: the chirp exp(i theta j^2 / 2),
     theta = k s dx / d, joins the exponent too, and one convolution with
@@ -219,12 +225,14 @@ def klyshko_amplitude_quadrature(x1, x2, screen, path: KlyshkoPath):
     xt, dx = _turbulence_grid(path, u_max=2.0)
     a, b, c = _folded_exponent(path, x1)
     kd = path.k / path.effective_distance_mm
+    tilt = isinstance(screen, TiltScreen)
     e = xt * a
-    e += b + 1j * kd * x20
+    e += b + 1j * (kd * x20 + (screen.slope_rad_per_mm if tilt else 0.0))
     e *= xt
     e += c
     phase = e.imag
-    phase += screen.phase(xt)
+    if not tilt:
+        phase += screen.phase(xt)
     if flat.size == 1:
         sums, q = np.exp(e, out=e).sum(keepdims=True), np.zeros(1)
     else:

@@ -7,7 +7,9 @@ generator is therefore both the fastest sampler and an exact oracle for
 the square law.  A generalized power-law generator (``D = alpha r^p``,
 ``0 < p < 2``) synthesizes screens from log-spaced spectral modes between
 an outer- and inner-scale cutoff; it is exploratory, since no closed-form
-visibility law exists here for ``p != 2``.
+visibility law exists here for ``p != 2``.  Its one special function,
+Gamma(1 + p) in the spectral amplitude, is ``math.gamma``, so this module,
+like the package, needs numpy alone.
 
 Reproducibility contract: the screen at (master_seed, index) is a pure
 function of those two integers.  Per-screen generators are seeded with
@@ -197,9 +199,7 @@ def _powerlaw_modes(alpha, p):
     2 * integral S(f) (1 - cos 2 pi f r) df = alpha r^p; the outer/inner
     scales window the integral to [1/L0, 1/l0].
     """
-    # scipy's gamma, not math.gamma: they differ by an ULP at many p, which moves screen bits.
-    from scipy.special import gamma
-    A = alpha * gamma(1.0 + p) * math.sin(p * math.pi / 2.0) / ((2.0 * math.pi) ** p * math.pi)
+    A = alpha * math.gamma(1.0 + p) * math.sin(p * math.pi / 2.0) / ((2.0 * math.pi) ** p * math.pi)
     fmin, fmax = 1.0 / OUTER_SCALE_MM, 1.0 / INNER_SCALE_MM
     n_modes = int(math.ceil(math.log10(fmax / fmin) * MODES_PER_DECADE))
     f = np.geomspace(fmin, fmax, n_modes)

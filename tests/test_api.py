@@ -186,6 +186,23 @@ def test_no_function_imports_a_package_module(filename):
     assert late == []
 
 
+def _imported_modules(nodes):
+    """Top-level names of the absolute imports among ``nodes``."""
+    names = []
+    for node in nodes:
+        if isinstance(node, ast.ImportFrom) and not node.level:
+            names.append(node.module.split(".")[0])
+        elif isinstance(node, ast.Import):
+            names += [a.name.split(".")[0] for a in node.names]
+    return names
+
+
+@pytest.mark.parametrize("filename", SOURCES)
+def test_no_module_imports_scipy(filename):
+    # numpy is the one runtime dependency; function bodies count too.
+    assert "scipy" not in _imported_modules(ast.walk(_source_tree(filename)))
+
+
 def test_fitting_imports_only_model():
     # fitting sits below scan and engine: both use it, so it may use neither.
     assert set(_package_imports(ast.walk(_source_tree("fitting.py")))) <= {"turbghost.model"}
@@ -197,8 +214,9 @@ def test_engine_reexports_the_kernel_width_fit():
 
 # Each experiment fact has one home that the other modules read: the
 # placement names in model.PLACEMENTS, the default master seed in
-# config.EngineSettings.
-FACT_HOMES = {"crystal_side": "model.py", "object_side": "model.py", 20260809: "config.py"}
+# config.EngineSettings, the figure names in campaign.FIGURES.
+FACT_HOMES = {"crystal_side": "model.py", "object_side": "model.py", 20260809: "config.py",
+              "fig3": "campaign.py", "fig4": "campaign.py", "fig5": "campaign.py"}
 
 
 @pytest.mark.parametrize("filename", SOURCES)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 
 import numpy as np
@@ -10,6 +11,7 @@ from turbghost.campaign import (
     point_seed,
     reproduce_figure,
     run_campaign,
+    simulate_point,
     write_campaign_csv,
     write_report_json,
 )
@@ -19,7 +21,8 @@ from turbghost.config import (
     load_config_dict,
     read_config_json,
 )
-from turbghost.model import fringe_wavenumber_from_cycles
+from turbghost.fitting import fit_scan, slit_correction, slit_factor
+from turbghost.model import fringe_wavenumber_from_cycles, kernel_sigma
 from turbghost.scan import read_scan_csv
 
 K0 = fringe_wavenumber_from_cycles(3.6)
@@ -87,6 +90,32 @@ class TestRunCampaign:
         report = run_campaign(small_config(n_points=4, noiseless=True))
         for p in report.points:
             assert p.corrected_visibility == pytest.approx(p.model_visibility, rel=0.01)
+
+    def test_points_slit_corrected_at_fitted_k0(self):
+        cfg = small_config(n_points=2)
+        slit = cfg.detector.slit_width_mm
+        for p in run_campaign(cfg).points:
+            fit = fit_scan(simulate_point(cfg, p.index))
+            k0 = fit.model.fringe_wavenumber
+            assert k0 != cfg.pattern.fringe_wavenumber
+            assert p.slit_factor == slit_factor(k0, slit)
+            assert p.corrected_visibility == min(slit_correction(fit.model.visibility, k0, slit), 1.0)
+            assert p.corrected_sigma == slit_correction(fit.errors["visibility"], k0, slit)
+
+    def test_noiseless_kernel_mode_matches_finite_envelope_law(self):
+        # A Gaussian kernel compresses the fringe to k0 w^2 / (w^2 + sigma^2),
+        # and the slit acts on that fringe: corrected at the fitted k0, the
+        # noiseless kernel-mode V is g v0 exp(-k0^2 sigma^2 / (2 (1 + sigma^2 / w^2))).
+        raw = read_config_json(bundled_config_path("paper_unshifted.json"))
+        raw["engine"]["mode"] = "kernel"
+        raw["detector"].update(poisson_noise=False, integration_time_s=1e6)
+        cfg = load_config_dict(raw)
+        k0, w = cfg.pattern.fringe_wavenumber, cfg.pattern.envelope_width_mm
+        g_v0 = cfg.optics.system_visibility * cfg.pattern.intrinsic_visibility
+        for p in run_campaign(cfg).points:
+            sigma = kernel_sigma(p.alpha_per_mm2, p.effective_distance_mm, cfg.optics.k)
+            law = g_v0 * math.exp(-(k0 * sigma) ** 2 / (2.0 * (1.0 + (sigma / w) ** 2)))
+            assert p.corrected_visibility == pytest.approx(law, rel=5e-4)
 
     def test_rerun_bit_identical(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

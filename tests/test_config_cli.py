@@ -14,6 +14,7 @@ import turbghost
 from turbghost.campaign import simulate_point
 from turbghost.cli import main
 from turbghost.config import (
+    ConfigError,
     ConfigParseError,
     ConfigSchemaError,
     ConfigValueError,
@@ -262,6 +263,41 @@ class TestConfigValidation:
         )
         with pytest.raises(ConfigSchemaError):
             load_config(path)
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def numeric_leaves(raw):
+    """(dotted key as the loader names it, parent, key) of every number in a raw config."""
+    leaves = [(f"config.{k}", raw, k) for k, v in raw.items() if _is_number(v)]
+    for section, node in raw.items():
+        entries = ([(section, node)] if isinstance(node, dict) else
+                   [(f"{section}[{i}]", e) for i, e in enumerate(node)] if isinstance(node, list)
+                   else [])
+        for path, entry in entries:
+            leaves += [(f"{path}.{k}", entry, k) for k, v in entry.items() if _is_number(v)]
+    return leaves
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
+                         ids=["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("name", ["paper_unshifted.json", "paper_shifted.json"])
+def test_non_finite_number_refused_naming_its_key(name, value):
+    path = bundled_config_path(name)
+    leaves = numeric_leaves(read_config_json(path))
+    assert len(leaves) >= 20
+    for index, (dotted, _, _) in enumerate(leaves):
+        raw = read_config_json(path)  # a fresh copy for each leaf
+        _, parent, key = numeric_leaves(raw)[index]
+        was_float = isinstance(parent[key], float)
+        parent[key] = value
+        # A float leaf is a ConfigValueError; an integer leaf (seed, counts,
+        # schema version) refuses a float by type, also exit 2.
+        with pytest.raises(ConfigValueError if was_float else ConfigError) as exc:
+            load_config_dict(raw)
+        assert str(exc.value).startswith(dotted), (dotted, str(exc.value))
 
 
 class TestConfigEcho:
@@ -548,6 +584,15 @@ class TestCLI:
         assert rc == 2
         assert "configuration error: pattern.form" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    @pytest.mark.parametrize("override", ["detector.background_cps=NaN",
+                                          "detector.integration_time_s=Infinity"])
+    def test_campaign_non_finite_exits_2_and_writes_nothing(self, tmp_path, capsys, override):
+        rc = main(["campaign", "--set", override, "--output-dir", str(tmp_path / "out")])
+        assert rc == 2
+        key = override.split("=")[0]
+        assert f"configuration error: {key}: must be a finite number" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_simulate_accepts_squarewave(self, tmp_path, capsys):
         out = tmp_path / "scan.csv"

@@ -151,6 +151,25 @@ class TestAmplitude:
         )
         assert np.abs(array - direct).max() <= 1e-12 * np.abs(direct).max()
 
+    @pytest.mark.parametrize("d,shift,ws,x1,slope", [
+        (482.0, 330.0, 12.0, 0.0, 0.4), (482.0, 330.0, 12.0, 0.01, 0.8),
+        (152.0, 330.0, 12.0, 0.0, 0.4), (482.0, 0.0, 4.0, 0.01, 0.8),
+    ])
+    def test_tilt_equals_gridded_linear_phase(self, d, shift, ws, x1, slope):
+        # A tilt's phase joins the exponent's linear coefficient; a gridded
+        # screen holding slope * x on the quadrature grid itself is added on
+        # the grid.  Both are the same integrand, scalar x2 and array x2.
+        from turbghost.screens import GriddedScreen
+
+        path = crystal_path(2.0, d, shift=shift, ws=ws)
+        xt, _dx = engine._turbulence_grid(path, u_max=2.0)
+        tilt, gridded = TiltScreen(slope), GriddedScreen(xt, slope * xt)
+        x2 = -slope * path.effective_distance_mm / path.k + np.linspace(-0.002, 0.002, 9)
+        for x in (x2[4], x2[0], x2):
+            want = klyshko_amplitude_quadrature(x1, x, gridded, path)
+            got = klyshko_amplitude_quadrature(x1, x, tilt, path)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
     @pytest.mark.parametrize("d,shift,ws,x1", [
         (482.0, 330.0, 12.0, 0.0), (482.0, 330.0, 12.0, 0.01), (482.0, 330.0, 12.0, 0.5),
         (152.0, 330.0, 24.0, 0.0), (152.0, 330.0, 24.0, 0.2),

@@ -223,9 +223,10 @@ class TestPowerlawScreens:
         np.testing.assert_array_equal(a.phase_rad, b.phase_rad)
 
     def test_golden_sha256(self):
-        # Pinning test: seeded power-law phases keep their bits.  math.gamma
-        # differs from scipy's gamma by an ULP at p = 1.2, so swapping it in
-        # would move the single screen's digest.
+        # Pinning test: seeded power-law phases keep their bits.  The spectral
+        # amplitude takes math.gamma(1 + p); the p = 1.2 single screen pins a
+        # value where a gamma off by one ULP (as scipy's is there) would move
+        # the digest, while p = 5/3 and p = 1.0 also agree with scipy's.
         grid = np.arange(256) * 0.0125
 
         def digest(screens):
@@ -240,7 +241,7 @@ class TestPowerlawScreens:
             "c3f7063d065598b8ad1a5f97b72d4414c21a03956c2be26cf259d7dee72e49c0")
         single = sample_powerlaw_screen(1.0, 1.2, grid, np.random.SeedSequence((9, 4)))
         assert digest([single]) == (
-            "0cc8dc81228e885020b5b3221ea1e9ae3b4238ad2d8c17e18cea303cabceed8e")
+            "3bf4933ddd52a2ec33a63f27063c08b9234dfe94c946dda04dce6fcd2793ae3f")
 
     @pytest.mark.parametrize("p", [5 / 3, 2.0])
     def test_ensemble_member_is_the_single_screen(self, p):
