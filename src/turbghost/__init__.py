@@ -7,7 +7,7 @@ generation, and least-squares recovery of fringe visibility and
 turbulence strength.
 """
 
-__version__ = "0.3.1"
+__version__ = "0.3.2"
 
 from .model import (  # noqa: F401
     AnalyticKernel,
@@ -55,6 +55,7 @@ from .fitting import (  # noqa: F401
     fit_kernel_sigma,
     fit_profile,
     fit_scan,
+    fit_scans,
     slit_correction,
 )
 from .config import ExperimentConfig, load_config  # noqa: F401

@@ -3,7 +3,10 @@
 A campaign runs each turbulence sweep point through simulate -> fit,
 collects visibility points next to the model curve, and emits a
 replayable report: every number is a pure function of the configuration
-hash and the master seed.  Points run serially in sweep order.  Every
+hash and the master seed.  Points run in sweep order, in chunks of
+``_FIT_STACK_SAMPLES`` scan samples: a chunk's scans share one position
+grid, so ``fitting.fit_scans`` fits them in one stacked solve, and each
+point's numbers are those its scan gets fit alone.  Every
 predicted visibility here (campaign points and curve, figure curves, the
 curve crossing) is ``model.model_visibility``, so each carries the
 object's intrinsic visibility v0 and the system ceiling g.
@@ -29,7 +32,7 @@ from .config import (
     load_config,
 )
 from .engine import KlyshkoPath
-from .fitting import fit_scan, slit_correction, slit_factor
+from .fitting import fit_scans, slit_correction, slit_factor
 from .model import (
     TurbulenceSpec,
     VALIDITY_WARN_THRESHOLD,
@@ -55,6 +58,12 @@ __all__ = [
 ]
 
 _POINT_SEED_TAG = 0x9B1D
+# Scan samples (stacked scans x scan points) fitted in one stacked solve.
+# Peak memory grows with the stack: over the bench sweep's two 150-point
+# campaigns, 16 scans of 160 points add 0.7 MB to the serial fit's peak,
+# 32 add 1.8 MB and a whole campaign 10 MB, while 16 already take most of
+# the speed-up.
+_FIT_STACK_SAMPLES = 16 * 160
 # The figures reproduce_figure writes; only fig3's synthetic scans read a master seed.
 FIGURES = ("fig3", "fig4", "fig5")
 SEEDED_FIGURE = "fig3"
@@ -145,41 +154,78 @@ def _scan(config: ExperimentConfig, spec: TurbulenceSpec, seed):
                          n_positions=eng.scan_points, center_mm=eng.scan_center_mm, mode=eng.mode)
 
 
-def _run_point(config: ExperimentConfig, index, spec: TurbulenceSpec):
-    optics, pattern, slit = config.optics, config.pattern, config.detector.slit_width_mm
+def _point_fields(config: ExperimentConfig, index):
+    """A sweep point's model fields: everything a CampaignPoint holds but the fit."""
+    spec, optics, pattern = config.sweep[index], config.optics, config.pattern
     d = effective_distance(spec, optics)
     ratio = validity_ratio(d, spec.alpha_per_mm2, optics.k, pattern.envelope_width_mm)
-    seed = point_seed(config.engine.master_seed, index)
-    base = dict(
+    return dict(
         index=index,
         placement=spec.placement,
         placement_distance_mm=spec.distance_mm,
         alpha_per_mm2=spec.alpha_per_mm2,
         effective_distance_mm=d,
         model_visibility=model_visibility(optics, pattern, spec.alpha_per_mm2, d),
-        seed=seed,
+        seed=point_seed(config.engine.master_seed, index),
         validity_ratio=ratio,
         validity_warning=ratio > VALIDITY_WARN_THRESHOLD,
     )
+
+
+# Numerical failures are recorded per point; programming errors propagate.
+_POINT_ERRORS = (ValueError, ArithmeticError, RuntimeError)
+
+
+def _fitted_point(base, result, slit):
+    """The CampaignPoint of a fit, slit-corrected at its fitted k0."""
+    if not result.converged:
+        return CampaignPoint(**base, error=f"fit failed: {result.message}")
+    sigma = result.errors.get("visibility", float("nan"))
+    # The slit attenuates the fringe the scan holds, at the fitted k0.
+    k0 = result.model.fringe_wavenumber
+    return CampaignPoint(
+        **base,
+        fitted_visibility=result.model.visibility,
+        fitted_sigma=sigma,
+        slit_factor=slit_factor(k0, slit),
+        corrected_visibility=min(slit_correction(result.model.visibility, k0, slit), 1.0),
+        corrected_sigma=slit_correction(sigma, k0, slit),
+        converged=True,
+    )
+
+
+def _run_points(config: ExperimentConfig, indices):
+    """Simulate sweep points ``indices`` and fit their scans as one stack.
+
+    Each point gets the CampaignPoint it would get alone.  A point whose
+    scan, fit or correction fails records the error; if the stacked fit
+    raises, each scan is fit alone, so the error lands on the point that
+    raised it."""
+    bases = {i: _point_fields(config, i) for i in indices}
+    points, scans, fits = {}, {}, {}
+
+    def fail(i, exc):
+        points[i] = CampaignPoint(**bases[i], error=f"{type(exc).__name__}: {exc}")
+
+    for i in indices:
+        try:
+            scans[i] = _scan(config, config.sweep[i], bases[i]["seed"])
+        except _POINT_ERRORS as exc:
+            fail(i, exc)
     try:
-        result = fit_scan(_scan(config, spec, seed))
-        if not result.converged:
-            return CampaignPoint(**base, error=f"fit failed: {result.message}")
-        sigma = result.errors.get("visibility", float("nan"))
-        # The slit attenuates the fringe the scan holds, at the fitted k0.
-        k0 = result.model.fringe_wavenumber
-        return CampaignPoint(
-            **base,
-            fitted_visibility=result.model.visibility,
-            fitted_sigma=sigma,
-            slit_factor=slit_factor(k0, slit),
-            corrected_visibility=min(slit_correction(result.model.visibility, k0, slit), 1.0),
-            corrected_sigma=slit_correction(sigma, k0, slit),
-            converged=True,
-        )
-    # Numerical failures are recorded per point; programming errors propagate.
-    except (ValueError, ArithmeticError, RuntimeError) as exc:
-        return CampaignPoint(**base, error=f"{type(exc).__name__}: {exc}")
+        fits = dict(zip(scans, fit_scans(scans.values())))
+    except _POINT_ERRORS:
+        for i, data in scans.items():
+            try:
+                fits[i] = fit_scans([data])[0]
+            except _POINT_ERRORS as exc:
+                fail(i, exc)
+    for i, result in fits.items():
+        try:
+            points[i] = _fitted_point(bases[i], result, config.detector.slit_width_mm)
+        except _POINT_ERRORS as exc:
+            fail(i, exc)
+    return [points[i] for i in indices]
 
 
 def run_campaign(config: ExperimentConfig):
@@ -187,7 +233,9 @@ def run_campaign(config: ExperimentConfig):
     Each point is slit-corrected at its fitted fringe wavenumber.  A slit too
     wide for the nominal fringe, or a square-wave pattern (whose fit reads
     harmonics the sinusoid law does not model), is a ConfigValueError before
-    any point runs."""
+    any point runs.  Points run in sweep order, in stacks of
+    ``_FIT_STACK_SAMPLES`` scan samples fitted together; every point's
+    numbers are those it gets alone."""
     start = time.perf_counter()
     if config.pattern.form == "squarewave":
         raise ConfigValueError("pattern.form: a squarewave's fit does not measure the sinusoid law")
@@ -196,7 +244,9 @@ def run_campaign(config: ExperimentConfig):
     except ValueError as exc:
         raise ConfigValueError(f"detector.slit_width_mm: {exc}") from exc
     specs = list(config.sweep)
-    points = [_run_point(config, i, spec) for i, spec in enumerate(specs)]
+    rows = max(1, _FIT_STACK_SAMPLES // config.engine.scan_points)
+    points = [point for first in range(0, len(specs), rows)
+              for point in _run_points(config, range(first, min(first + rows, len(specs))))]
     if specs:
         dmax = max(abs(p.effective_distance_mm) for p in points)
         curve_d = np.linspace(0.0, max(dmax, 1.0), 101)

@@ -24,7 +24,7 @@ from importlib import resources
 from .engine import KlyshkoPath
 from .model import (PATTERN_FORMS, PLACEMENTS, ObjectPattern, OpticsConfig, TurbulenceSpec,
                     fringe_wavenumber_from_cycles)
-from .scan import SCAN_MODES, DetectorModel
+from .scan import MAX_GRID_POINTS, MAX_SCAN_POINTS, SCAN_MODES, DetectorModel, _fine_grid
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -74,8 +74,8 @@ class EngineSettings:
     def __post_init__(self):
         if self.master_seed < 0:
             raise ValueError("master_seed must be >= 0")
-        if self.scan_points < 2:
-            raise ValueError("scan_points must be >= 2")
+        if not 2 <= self.scan_points <= MAX_SCAN_POINTS:
+            raise ValueError(f"scan_points must be in [2, {MAX_SCAN_POINTS}]")
         if self.mode not in SCAN_MODES:
             raise ValueError(f"mode must be one of {SCAN_MODES}")
         if not self.source_width_mm > 0:
@@ -245,6 +245,34 @@ def _build_sweep_point(node, path):
         return TurbulenceSpec(alpha, placement, dist, exponent)
 
 
+def _check_synthesis_grid(pattern, detector, engine, fringe_key):
+    """Refuse a scan layout whose synthesis grid would pass MAX_GRID_POINTS.
+
+    The grid of ``scan.expected_scan_rates`` follows six keys.  The error
+    names the first of them that, put back to its default with the others
+    as given, brings the grid under the ceiling (all six if none does).
+    """
+    keys = ("pattern.envelope_width_mm", fringe_key, "detector.slit_width_mm",
+            "detector.slit_step_mm", "engine.scan_points", "engine.scan_center_mm")
+    given = (pattern.envelope_width_mm, pattern.fringe_wavenumber, detector.slit_width_mm,
+             detector.slit_step_mm, engine.scan_points, engine.scan_center_mm)
+    defaults = (ObjectPattern.envelope_width_mm, ObjectPattern.fringe_wavenumber,
+                DetectorModel.slit_width_mm, DetectorModel.slit_step_mm,
+                EngineSettings.scan_points, EngineSettings.scan_center_mm)
+
+    def samples(w, k0, slit, step, points, center):  # simulate_scan's first and last positions
+        half = step * (points - 1) / 2.0
+        return _fine_grid(w, k0, slit, center - half, center + half)[2]
+
+    n = samples(*given)
+    if n <= MAX_GRID_POINTS:
+        return
+    drivers = [key for i, key in enumerate(keys)
+               if samples(*given[:i], defaults[i], *given[i + 1:]) <= MAX_GRID_POINTS]
+    raise ConfigValueError(f"{(drivers or [', '.join(keys)])[0]}: scan synthesis would need a "
+                           f"fine grid of {n:.3g} samples, more than {MAX_GRID_POINTS}")
+
+
 _TOP_KEYS = {
     "schema_version", "label", "optics", "pattern", "detector",
     "turbulence_sweep", "engine", "output_dir",
@@ -263,6 +291,9 @@ def load_config_dict(raw):
     pattern = _build_pattern(raw.get("pattern", {}))
     detector = _build_section(DetectorModel, raw.get("detector", {}), "detector")
     engine = _build_section(EngineSettings, raw.get("engine", {}), "engine")
+    fringe_key = ("fringe_wavenumber_rad_per_mm" if "fringe_wavenumber_rad_per_mm" in
+                  raw.get("pattern", {}) else "fringe_cycles_per_mm")
+    _check_synthesis_grid(pattern, detector, engine, f"pattern.{fringe_key}")
     sweep_node = raw.get("turbulence_sweep", [])
     if not isinstance(sweep_node, list):
         raise ConfigSchemaError("config.turbulence_sweep: expected a list")
@@ -277,7 +308,7 @@ def load_config_dict(raw):
             KlyshkoPath(optics, spec, source_width_mm=engine.source_width_mm)
         except ValueError as exc:
             key = ("engine.source_width_mm" if "source_width_mm" in str(exc)
-                   else f"turbulence_sweep[{i}]")
+                   else f"turbulence_sweep[{i}].{PLACEMENTS[spec.placement]}")
             raise ConfigValueError(f"{key}: {exc}") from exc
     label = _string(raw, "config", "label", default="")
     output_dir = _string(raw, "config", "output_dir")

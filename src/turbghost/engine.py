@@ -94,7 +94,8 @@ class KlyshkoPath:
             raise ValueError("source_width_mm must be positive")
         # The envelope must span many optical periods or it is not "wide".
         if self.source_width_mm * self.optics.k < 100.0:
-            raise ValueError("source_width_mm too small relative to 1/k")
+            raise ValueError("source_width_mm too small relative to 1/k (k from wavelength_nm):"
+                             " source_width_mm * k must be >= 100")
         effective_distance(self.turbulence, self.optics)  # placement sanity
 
     @property

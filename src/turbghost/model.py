@@ -99,7 +99,7 @@ class OpticsConfig:
             raise ValueError("focal_length_mm must be positive")
         if not abs(self.shift_mm) < 2.0 * f:
             raise ValueError(
-                f"|shift_mm| = {abs(self.shift_mm)} must be < 2f = {2 * f}"
+                f"|shift_mm| = {abs(self.shift_mm)} must be < 2 * focal_length_mm = {2 * f}"
             )
         if not 0.0 < self.system_visibility <= 1.0:
             raise ValueError("system_visibility must be in (0, 1]")
@@ -175,8 +175,9 @@ def effective_distance(spec: TurbulenceSpec, config: OpticsConfig):
     crystal = spec.placement == "crystal_side"
     span = config.object_arm_crystal_to_lens_mm if crystal else config.lens_to_detector_mm
     if not 0.0 <= dist <= span:
-        name = "crystal-to-lens" if crystal else "lens-to-detector"
-        raise ValueError(f"{PLACEMENTS[spec.placement]} = {dist} outside {name} range [0, {span}]")
+        name = ("crystal-to-lens range [0, 2 * focal_length_mm + shift_mm" if crystal
+                else "lens-to-detector range [0, 2 * focal_length_mm")
+        raise ValueError(f"{PLACEMENTS[spec.placement]} = {dist} outside {name} = {span}]")
     return dist - config.shift_mm if crystal else dist
 
 

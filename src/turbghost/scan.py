@@ -18,6 +18,8 @@ from .model import AnalyticKernel, ObjectPattern, kernel_from_turbulence, model_
 
 __all__ = [
     "SCAN_MODES",
+    "MAX_GRID_POINTS",
+    "MAX_SCAN_POINTS",
     "DetectorModel",
     "ScanData",
     "ScanCSVError",
@@ -35,6 +37,10 @@ _SCAN_SEED_TAG = 0x5CA7
 
 #: Scan synthesis routes; see ``expected_scan_rates``.
 SCAN_MODES = ("analytic", "kernel")
+#: Most samples the fine grid of one scan's synthesis may hold (8 MB per array).
+MAX_GRID_POINTS = 2**20
+#: Most positions one scan may have: a campaign stacks several scans in one fit.
+MAX_SCAN_POINTS = 2**16
 
 
 @dataclass(frozen=True)
@@ -135,6 +141,27 @@ def _slit_convolve(values, step, slit_width_mm):
     return np.convolve(values, _tophat_weights(step, slit_width_mm), mode="same")
 
 
+def _fine_grid(envelope_width_mm, fringe_wavenumber, slit_width_mm, first_mm, last_mm):
+    """Start, step and sample count of the fine grid a scan over [first_mm, last_mm] is built on.
+
+    The count is computed before anything is allocated; a geometry whose
+    count passes the float range reads as inf, so callers can refuse it.
+    """
+    w = envelope_width_mm
+    period = 2.0 * math.pi / fringe_wavenumber
+    # period/200 keeps the linear-interpolation damping of the fringe
+    # below ~1e-4 when resampling onto the scan positions.
+    step = min(period / 200.0, w / 50.0)
+    if slit_width_mm > 0:
+        step = min(step, slit_width_mm / 8.0)
+    # The margin keeps every scan position off the slit's zero-padded ends.
+    margin = slit_width_mm + 2.0 * step
+    lo = min(first_mm - margin, -4.0 * w)
+    hi = max(last_mm + margin, 4.0 * w)
+    span = (hi - lo) / step if step > 0 else math.inf
+    return lo, step, math.ceil(span) + 1 if math.isfinite(span) else math.inf
+
+
 def expected_scan_rates(
     path: KlyshkoPath,
     alpha_per_mm2,
@@ -155,24 +182,18 @@ def expected_scan_rates(
     closed-form image and always take the kernel route.  The slit
     top-hat is applied on a fine grid, and the result is scaled so the
     profile peak sits at the detector's peak rate, plus the background.
-    ``alpha_per_mm2`` must equal the path's.
+    ``alpha_per_mm2`` must equal the path's.  A fine grid of more than
+    ``MAX_GRID_POINTS`` samples is a ValueError before it is allocated.
     """
     _check_alpha(path, alpha_per_mm2)
     if mode not in SCAN_MODES:
         raise ValueError(f"mode must be one of {SCAN_MODES}, got {mode!r}")
     positions = np.asarray(positions_mm, dtype=float)
-    w = pattern.envelope_width_mm
-    period = 2.0 * math.pi / pattern.fringe_wavenumber
-    # period/200 keeps the linear-interpolation damping of the fringe
-    # below ~1e-4 when resampling onto the scan positions.
-    fine_dx = min(period / 200.0, w / 50.0)
-    if detector.slit_width_mm > 0:
-        fine_dx = min(fine_dx, detector.slit_width_mm / 8.0)
-    # The margin keeps every scan position off the slit's zero-padded ends.
-    margin = detector.slit_width_mm + 2.0 * fine_dx
-    lo = min(positions[0] - margin, -4.0 * w)
-    hi = max(positions[-1] + margin, 4.0 * w)
-    n = int(math.ceil((hi - lo) / fine_dx)) + 1
+    lo, fine_dx, n = _fine_grid(pattern.envelope_width_mm, pattern.fringe_wavenumber,
+                                detector.slit_width_mm, positions[0], positions[-1])
+    if n > MAX_GRID_POINTS:
+        raise ValueError(f"scan synthesis needs a fine grid of {n:.3g} samples, "
+                         f"more than MAX_GRID_POINTS = {MAX_GRID_POINTS}")
     grid = lo + fine_dx * np.arange(n)
 
     d = path.effective_distance_mm
@@ -204,9 +225,10 @@ def simulate_scan(
 
     Counts are Poisson draws of rate * dwell unless the detector is
     configured noiseless, in which case they are the rounded expectations.
+    ``n_positions`` runs from 2 to ``MAX_SCAN_POINTS``.
     """
-    if n_positions < 2:
-        raise ValueError("n_positions must be >= 2")
+    if not 2 <= n_positions <= MAX_SCAN_POINTS:
+        raise ValueError(f"n_positions must be in [2, {MAX_SCAN_POINTS}], got {n_positions}")
     offsets = (np.arange(int(n_positions)) - (int(n_positions) - 1) / 2.0)
     positions = center_mm + detector.slit_step_mm * offsets
     rates = expected_scan_rates(

@@ -21,7 +21,7 @@ from turbghost.config import (
     load_config_dict,
     read_config_json,
 )
-from turbghost.fitting import fit_scan, slit_correction, slit_factor
+from turbghost.fitting import fit_scan, fit_scans, slit_correction, slit_factor
 from turbghost.model import fringe_wavenumber_from_cycles, kernel_sigma
 from turbghost.scan import read_scan_csv
 
@@ -102,6 +102,33 @@ class TestRunCampaign:
             assert p.corrected_visibility == min(slit_correction(fit.model.visibility, k0, slit), 1.0)
             assert p.corrected_sigma == slit_correction(fit.errors["visibility"], k0, slit)
 
+    @pytest.mark.parametrize("seed", [9, 20260809])
+    @pytest.mark.parametrize("mode", ["analytic", "kernel"])
+    @pytest.mark.parametrize("tag", ["unshifted", "shifted"])
+    def test_points_equal_single_fits(self, tag, mode, seed):
+        # A campaign fits its scans as one stack; every point is bit for bit
+        # what its scan's fit alone gives, evaluation count and stop reason
+        # included, slit-corrected at that fit's k0.
+        raw = read_config_json(bundled_config_path(f"paper_{tag}.json"))
+        raw["engine"].update(master_seed=seed, mode=mode)
+        cfg = load_config_dict(raw)
+        slit = cfg.detector.slit_width_mm
+        scans = [simulate_point(cfg, i) for i in range(len(cfg.sweep))]
+        singles = [fit_scan(data) for data in scans]
+        assert [fit.to_json() for fit in fit_scans(scans)] == [fit.to_json() for fit in singles]
+        points = run_campaign(cfg).points
+        assert [p.index for p in points] == list(range(len(scans)))
+        for p, fit in zip(points, singles):
+            assert p.converged == fit.converged
+            if not fit.converged:
+                assert p.error == f"fit failed: {fit.message}"
+                continue
+            k0, v, sigma = fit.model.fringe_wavenumber, fit.model.visibility, fit.errors["visibility"]
+            assert (p.fitted_visibility, p.fitted_sigma) == (v, sigma)
+            assert p.slit_factor == slit_factor(k0, slit)
+            assert p.corrected_visibility == min(slit_correction(v, k0, slit), 1.0)
+            assert p.corrected_sigma == slit_correction(sigma, k0, slit)
+
     def test_noiseless_kernel_mode_matches_finite_envelope_law(self):
         # A Gaussian kernel compresses the fringe to k0 w^2 / (w^2 + sigma^2),
         # and the slit acts on that fringe: corrected at the fitted k0, the
@@ -169,7 +196,7 @@ class TestRunCampaign:
         # fit reads its harmonics, so the campaign refuses it up front.
         raw = read_config_json(bundled_config_path("paper_unshifted.json"))
         raw["pattern"]["form"] = "squarewave"
-        monkeypatch.setattr("turbghost.campaign._run_point", None)
+        monkeypatch.setattr("turbghost.campaign._run_points", None)
         with pytest.raises(ConfigValueError, match=r"^pattern\.form"):
             run_campaign(load_config_dict(raw))
 
@@ -177,7 +204,7 @@ class TestRunCampaign:
         def broken_fit(data):
             raise TypeError("broken fit")
 
-        monkeypatch.setattr("turbghost.campaign.fit_scan", broken_fit)
+        monkeypatch.setattr("turbghost.campaign.fit_scans", broken_fit)
         with pytest.raises(TypeError, match="broken fit"):
             run_campaign(small_config(n_points=1))
 

@@ -300,6 +300,75 @@ def test_non_finite_number_refused_naming_its_key(name, value):
         assert str(exc.value).startswith(dotted), (dotted, str(exc.value))
 
 
+# The one-key mutation values of ROADMAP item 17's scan of the bundled configs.
+MUTATIONS = (0, -1, 1e-12, 1e12, 1e300, float("nan"), float("inf"), -0.0, 2.5, "x", None, True,
+             [], {}, 10**30)
+
+
+def scalar_leaves(raw):
+    """Key path of every scalar in a raw config; sweep entry 0 stands for the sweep."""
+    paths = [(k,) for k, v in raw.items() if not isinstance(v, (dict, list))]
+    for section, node in raw.items():
+        if isinstance(node, dict):
+            paths += [(section, k) for k in node]
+        elif isinstance(node, list):
+            paths += [(section, 0, k) for k in node[0]]
+    return paths
+
+
+BUNDLED_LEAVES = [(name, path) for name in ("paper_unshifted.json", "paper_shifted.json")
+                  for path in scalar_leaves(read_config_json(bundled_config_path(name)))]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(leaf=st.sampled_from(BUNDLED_LEAVES), value=st.sampled_from(MUTATIONS))
+def test_one_key_mutation_runs_or_is_refused_naming_the_key(leaf, value):
+    # Any one key of a bundled config (trimmed to one sweep point) set to
+    # any mutation value either runs to a report or is a ConfigError whose
+    # message names that key.  A scan layout past the synthesis ceilings is
+    # refused at load, so a loaded config is checked against them before it
+    # runs and this test never asks for a large array.
+    from turbghost.campaign import run_campaign
+    from turbghost.scan import MAX_GRID_POINTS, MAX_SCAN_POINTS, _fine_grid
+
+    name, path = leaf
+    raw = read_config_json(bundled_config_path(name))
+    raw["turbulence_sweep"] = raw["turbulence_sweep"][:1]
+    parent = raw
+    for step in path[:-1]:
+        parent = parent[step]
+    parent[path[-1]] = value
+    try:
+        cfg = load_config_dict(raw)
+        eng, det, pattern = cfg.engine, cfg.detector, cfg.pattern
+        half = det.slit_step_mm * (eng.scan_points - 1) / 2.0
+        assert eng.scan_points <= MAX_SCAN_POINTS
+        assert _fine_grid(pattern.envelope_width_mm, pattern.fringe_wavenumber, det.slit_width_mm,
+                          eng.scan_center_mm - half, eng.scan_center_mm + half)[2] <= MAX_GRID_POINTS
+        report = run_campaign(cfg)
+    except ConfigError as exc:
+        assert path[-1] in str(exc), (path, value, str(exc))
+    else:
+        assert len(report.points) == 1
+
+
+@pytest.mark.parametrize("key, value", [
+    ("pattern.envelope_width_mm", 1e-12),
+    ("pattern.envelope_width_mm", 1e12),
+    ("engine.scan_center_mm", 1e12),
+    ("engine.scan_center_mm", 1e6),
+    ("pattern.fringe_cycles_per_mm", 1e12),
+    ("detector.slit_width_mm", 1e12),
+    ("engine.scan_points", 10**30),
+])
+def test_synthesis_ceiling_refused_at_load_naming_the_key(key, value):
+    raw = read_config_json(bundled_config_path("paper_unshifted.json"))
+    section, name = key.split(".")
+    raw[section][name] = value
+    with pytest.raises(ConfigValueError, match=rf"^{re.escape(key)}: "):
+        load_config_dict(raw)
+
+
 class TestConfigEcho:
     KERNEL_MODE = {
         "schema_version": 1,

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from turbghost import fitting
+from turbghost.campaign import point_seed
 from turbghost.engine import KlyshkoPath
 from turbghost.fitting import (
     MAX_ITERATIONS,
@@ -12,14 +13,18 @@ from turbghost.fitting import (
     ScanFitModel,
     _PARAM_HI,
     _PARAM_LO,
+    _curvature_errors,
     _envelope_grid,
     _envelope_grid_fit,
     _evaluate_vector,
+    _fit_rows,
     _model_jacobian,
     _moment_scales,
+    _solve_rows,
     fit_alpha,
     fit_profile,
     fit_scan,
+    fit_scans,
     initial_guess,
     slit_correction,
     slit_factor,
@@ -364,6 +369,76 @@ class TestJacobian:
         result = fit_scan(data)
         assert result.converged
         assert len(calls) == result.n_evaluations
+
+
+def stalling_scan():
+    """Bench sweep seed 516's shifted point 92: its fit stalls at the iteration limit."""
+    alpha, distance = 2.255116468239516, 457.31955393462505
+    path = KlyshkoPath(OpticsConfig(shift_mm=330.0, system_visibility=0.65),
+                       TurbulenceSpec.object_side(alpha, distance), source_width_mm=12.0)
+    return simulate_scan(path, alpha, ObjectPattern(), DetectorModel(peak_rate_cps=50.0),
+                         seed=point_seed(487496109, 92))
+
+
+class TestStackedFits:
+    def test_scan_rows_equal_their_single_fits(self):
+        # One stack on one grid: seeded scans around an all-zero scan and a
+        # scan whose fit runs to the iteration limit.  Rows stop at different
+        # rounds and leave the stack; each keeps its single-fit result.
+        scans = seeded_scans(6)
+        x = scans[0].positions_mm
+        zero = ScanData(x, np.zeros(x.size, dtype=np.int64), np.full(x.size, 4.0))
+        stack = [scans[0], zero, *scans[1:3], stalling_scan(), *scans[3:]]
+        stacked = fit_scans(stack)
+        assert [fit.to_json() for fit in stacked] == [fit_scan(data).to_json() for data in stack]
+        assert stacked[1].message == "degenerate data: all counts zero"
+        assert stacked[4].message == "optimizer_stalled: iteration limit reached"
+        assert stacked[4].n_evaluations > MAX_ITERATIONS
+        assert all(fit.converged for i, fit in enumerate(stacked) if i not in (1, 4))
+
+    def test_profile_rows_equal_their_single_fits(self):
+        # The fringe-free profile takes 568 evaluations; in a stack with
+        # quick rows, every row is still its own fit_profile.
+        x = np.linspace(-0.4, 0.4, 161)
+        profiles = [TRUTH.evaluate(x), 2.0 + 50.0 * np.exp(-0.5 * (x / 0.4) ** 2),
+                    ObjectPattern().evaluate(x)]
+        ones = np.ones((len(profiles), x.size))
+        inits = [initial_guess(x, y) for y in profiles]
+        stacked = _fit_rows(x, np.array(profiles), ones, ones, inits)
+        singles = [fit_profile(x, y) for y in profiles]
+        assert [fit.to_json() for fit in stacked] == [fit.to_json() for fit in singles]
+        assert stacked[1].n_evaluations == 568
+
+    def test_scans_on_different_grids_refused(self):
+        a, b = seeded_scans(2)
+        moved = ScanData(b.positions_mm + 0.001, b.counts, b.durations_s)
+        with pytest.raises(ValueError, match="one position grid"):
+            fit_scans([a, moved])
+        assert fit_scans([]) == []
+
+    def test_nan_jacobian_row_keeps_its_nan_errors(self):
+        # A row with NaNs fails the stacked SVD; the other rows keep the
+        # errors they get alone.
+        rng = np.random.default_rng(3)
+        jac = rng.normal(size=(3, 40, 7))
+        jac[1, 5, 2] = np.nan
+        errors = _curvature_errors(jac)
+        assert errors[0] == _curvature_errors(jac[:1])[0]
+        assert errors[2] == _curvature_errors(jac[2:])[0]
+        assert all(math.isnan(e) for e in errors[1])
+
+    def test_singular_row_does_not_fail_the_stack(self):
+        # A singular step matrix is that row's non-finite step (a stall),
+        # not a LinAlgError for every row.
+        rng = np.random.default_rng(4)
+        m = rng.normal(size=(3, 7, 7))
+        a = m @ np.swapaxes(m, 1, 2) + np.eye(7)
+        a[1] = 0.0
+        b = rng.normal(size=(3, 7))
+        steps = _solve_rows(a, b)
+        for i in (0, 2):
+            np.testing.assert_array_equal(steps[i], np.linalg.solve(a[i], b[i]))
+        assert np.isnan(steps[1]).all()
 
 
 def loop_grid_fit(x, y, c0, w0, k0=None):

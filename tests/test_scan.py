@@ -13,12 +13,15 @@ from turbghost.model import (
     kernel_sigma,
 )
 from turbghost.scan import (
+    MAX_GRID_POINTS,
+    MAX_SCAN_POINTS,
     DetectorModel,
     MissingColumnError,
     NonIntegerCountsError,
     NonMonotonicPositionsError,
     ScanCSVError,
     ScanData,
+    _fine_grid,
     expected_scan_rates,
     read_scan_csv,
     simulate_scan,
@@ -197,6 +200,32 @@ class TestSimulateScan:
 def _scan_xy(path, pattern, det):
     data = simulate_scan(path, 2.0, pattern, det, seed=3)
     return data.positions_mm, data.rates_cps
+
+
+class TestSynthesisCeiling:
+    @pytest.mark.parametrize("pattern, positions", [
+        (ObjectPattern(envelope_width_mm=1e-12), [-0.4, 0.4]),
+        (ObjectPattern(envelope_width_mm=1e12), [-0.4, 0.4]),
+        (ObjectPattern(), [1e12, 1e12 + 0.8]),
+        (ObjectPattern(envelope_width_mm=5e-324), [-0.4, 0.4]),
+    ])
+    def test_grid_past_the_ceiling_refused_before_allocation(self, pattern, positions):
+        path = KlyshkoPath(OpticsConfig(), TurbulenceSpec.crystal_side(2.0, 482.0))
+        with pytest.raises(ValueError, match="fine grid"):
+            expected_scan_rates(path, 2.0, pattern, DetectorModel(), positions)
+
+    def test_bundled_scan_grid_well_under_the_ceiling(self):
+        det, pattern = DetectorModel(), ObjectPattern()
+        _, step, n = _fine_grid(pattern.envelope_width_mm, pattern.fringe_wavenumber,
+                                det.slit_width_mm, -0.3975, 0.3975)
+        assert step == pytest.approx(2.0 * math.pi / pattern.fringe_wavenumber / 200.0)
+        assert 2000 < n < MAX_GRID_POINTS / 100
+
+    def test_scan_points_ceiling(self):
+        path = KlyshkoPath(OpticsConfig(), TurbulenceSpec.crystal_side(2.0, 482.0))
+        with pytest.raises(ValueError, match="n_positions"):
+            simulate_scan(path, 2.0, ObjectPattern(), DetectorModel(), seed=1,
+                          n_positions=MAX_SCAN_POINTS + 1)
 
 
 class TestScanCSV:
