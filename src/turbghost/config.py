@@ -24,7 +24,8 @@ from importlib import resources
 from .engine import KlyshkoPath
 from .model import (PATTERN_FORMS, PLACEMENTS, ObjectPattern, OpticsConfig, TurbulenceSpec,
                     fringe_wavenumber_from_cycles)
-from .scan import MAX_GRID_POINTS, MAX_SCAN_POINTS, SCAN_MODES, DetectorModel, _fine_grid
+from .scan import (MAX_GRID_POINTS, MAX_SCAN_POINTS, SCAN_MODES, DetectorModel, _fine_grid,
+                   _image_route, _synthesis_samples)
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -246,7 +247,7 @@ def _build_sweep_point(node, path):
 
 
 def _check_synthesis_grid(pattern, detector, engine, fringe_key):
-    """Refuse a scan layout whose synthesis grid would pass MAX_GRID_POINTS.
+    """Refuse a scan layout whose synthesis grid would pass MAX_GRID_POINTS; return the grid.
 
     The grid of ``scan.expected_scan_rates`` follows six keys.  The error
     names the first of them that, put back to its default with the others
@@ -260,15 +261,16 @@ def _check_synthesis_grid(pattern, detector, engine, fringe_key):
                 DetectorModel.slit_width_mm, DetectorModel.slit_step_mm,
                 EngineSettings.scan_points, EngineSettings.scan_center_mm)
 
-    def samples(w, k0, slit, step, points, center):  # simulate_scan's first and last positions
+    def grid(w, k0, slit, step, points, center):  # simulate_scan's first and last positions
         half = step * (points - 1) / 2.0
-        return _fine_grid(w, k0, slit, center - half, center + half)[2]
+        return _fine_grid(w, k0, slit, center - half, center + half)
 
-    n = samples(*given)
+    fine = grid(*given)
+    n = fine[2]
     if n <= MAX_GRID_POINTS:
-        return
+        return fine
     drivers = [key for i, key in enumerate(keys)
-               if samples(*given[:i], defaults[i], *given[i + 1:]) <= MAX_GRID_POINTS]
+               if grid(*given[:i], defaults[i], *given[i + 1:])[2] <= MAX_GRID_POINTS]
     raise ConfigValueError(f"{(drivers or [', '.join(keys)])[0]}: scan synthesis would need a "
                            f"fine grid of {n:.3g} samples, more than {MAX_GRID_POINTS}")
 
@@ -293,7 +295,7 @@ def load_config_dict(raw):
     engine = _build_section(EngineSettings, raw.get("engine", {}), "engine")
     fringe_key = ("fringe_wavenumber_rad_per_mm" if "fringe_wavenumber_rad_per_mm" in
                   raw.get("pattern", {}) else "fringe_cycles_per_mm")
-    _check_synthesis_grid(pattern, detector, engine, f"pattern.{fringe_key}")
+    fine = _check_synthesis_grid(pattern, detector, engine, f"pattern.{fringe_key}")
     sweep_node = raw.get("turbulence_sweep", [])
     if not isinstance(sweep_node, list):
         raise ConfigSchemaError("config.turbulence_sweep: expected a list")
@@ -302,14 +304,22 @@ def load_config_dict(raw):
         for i, entry in enumerate(sweep_node)
     )
     # Each point's folded path checks its placement range and the source
-    # width against the optics; build them now, not at use time.
+    # width against the optics; build them now, not at use time.  A
+    # blurring kernel pads the synthesis grid on each side by its reach,
+    # which alpha sets.
     for i, spec in enumerate(sweep):
         try:
-            KlyshkoPath(optics, spec, source_width_mm=engine.source_width_mm)
+            path = KlyshkoPath(optics, spec, source_width_mm=engine.source_width_mm)
         except ValueError as exc:
             key = ("engine.source_width_mm" if "source_width_mm" in str(exc)
                    else f"turbulence_sweep[{i}].{PLACEMENTS[spec.placement]}")
             raise ConfigValueError(f"{key}: {exc}") from exc
+        kernel, _ = _image_route(path, spec.alpha_per_mm2, pattern, engine.mode)
+        held = _synthesis_samples(fine, kernel)
+        if held > MAX_GRID_POINTS:
+            raise ConfigValueError(
+                f"turbulence_sweep[{i}].alpha_per_mm2: scan synthesis would need a fine grid of "
+                f"{held:.3g} samples, kernel pad included, more than {MAX_GRID_POINTS}")
     label = _string(raw, "config", "label", default="")
     output_dir = _string(raw, "config", "output_dir")
     return ExperimentConfig(optics, pattern, detector, sweep, engine, label, output_dir)

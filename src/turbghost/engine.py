@@ -371,6 +371,24 @@ class ImageProfile:
     values: np.ndarray
 
 
+def _convolution_pad(kernel, step):
+    """Samples ``synthesize_image`` pads each side of a grid of spacing ``step`` by.
+
+    That is the kernel's reach (a Gaussian's 5 sigma, a sampled kernel's
+    outermost offset) and at least 3 samples; none for an ideal kernel.  A
+    pad past the float range reads as inf, so a caller can refuse it before
+    anything is allocated.
+    """
+    if isinstance(kernel, AnalyticKernel):
+        if kernel.ideal:
+            return 0
+        reach = 5.0 * kernel.sigma_mm
+    else:
+        reach = max(-kernel.offsets_mm[0], kernel.offsets_mm[-1])
+    pad = max(reach, 3.0 * step) / step
+    return math.ceil(pad) if math.isfinite(pad) else math.inf
+
+
 def synthesize_image(kernel, pattern: ObjectPattern, positions_mm=None):
     """Ghost image I(x1) = integral of the object against the coincidence kernel.
 
@@ -379,14 +397,14 @@ def synthesize_image(kernel, pattern: ObjectPattern, positions_mm=None):
     well-posed.  The default grid spans 8 envelope widths and resolves the
     kernel: a Gaussian is read to 5 sigma at sigma / 6, a sampled kernel to
     its outermost offset (``value`` is 0 beyond) at its offset spacing.
+    The object is padded by as much on each side (``_convolution_pad``).
     """
     w = pattern.envelope_width_mm
     period = 2.0 * math.pi / pattern.fringe_wavenumber
     if isinstance(kernel, AnalyticKernel):
-        reach, resolution = 5.0 * kernel.sigma_mm, kernel.sigma_mm / 6.0
+        resolution = kernel.sigma_mm / 6.0
     else:
-        x = kernel.offsets_mm
-        reach, resolution = max(-x[0], x[-1]), float(np.diff(x).min())
+        resolution = float(np.diff(kernel.offsets_mm).min())
     if positions_mm is None:
         dx_mm = min(period / 40.0, w / 50.0)
         if resolution > 0:
@@ -402,8 +420,7 @@ def synthesize_image(kernel, pattern: ObjectPattern, positions_mm=None):
     step = positions[1] - positions[0]
     if not np.allclose(np.diff(positions), step, rtol=1e-9, atol=0.0):
         raise ValueError("positions must be uniformly spaced")
-    half_k = max(reach, 3.0 * step)
-    m = int(math.ceil(half_k / step))
+    m = _convolution_pad(kernel, step)
     kx = np.arange(-m, m + 1) * step
     kv = kernel.value(kx)
     norm = kv.sum() * step
@@ -411,9 +428,8 @@ def synthesize_image(kernel, pattern: ObjectPattern, positions_mm=None):
         raise ValueError("kernel has no mass on the convolution grid")
     kv = kv / norm
     # Pad with the object's own tails so edge bins see the true neighborhood.
-    pad = m
     x_ext = np.concatenate(
-        [positions[0] + step * np.arange(-pad, 0), positions, positions[-1] + step * np.arange(1, pad + 1)]
+        [positions[0] + step * np.arange(-m, 0), positions, positions[-1] + step * np.arange(1, m + 1)]
     )
     obj = pattern.evaluate(x_ext)
     values = np.convolve(obj, kv, mode="valid") * step

@@ -12,7 +12,10 @@ weighted objective, (J^T J)^-1 at the solution.
 The solver runs a stack of fits at once, each row on its own schedule;
 a single fit is a stack of one.  ``fit_scans`` fits scans that share one
 position grid, as a campaign's scans do, in one stack, and each result
-is bit for bit the one ``fit_scan`` gives that scan alone.
+is bit for bit the one ``fit_scan`` gives that scan alone.  Their start
+points are one stack too: ``_start_points`` runs ``initial_guess`` over
+the rows, with each of its 15 grid candidates solved by its normal
+equations, no SVD.
 
 Visibility-vs-distance campaigns are reduced to the turbulence strength
 ``alpha`` by weighted least squares of the attenuation law
@@ -119,103 +122,138 @@ class FitResult:
         return json.dumps(self.to_json_dict(), **kwargs)
 
 
-def _moment_scales(x, y):
-    """Centroid and second-moment width of the above-baseline profile."""
-    yp = np.clip(y - float(y.min()), 0.0, None)
-    total = yp.sum()
-    if total <= 0:
-        raise ValueError("profile has no mass above background")
-    step = float(np.mean(np.diff(x)))
-    c0 = float((x * yp).sum() / total)
-    w0 = math.sqrt(max(float(((x - c0) ** 2 * yp).sum() / total), step**2))
-    return c0, w0
-
-
-def _envelope_grid(x, c0, w0):
-    """Centers, widths and envelopes of the 15 grid candidates, centers outermost."""
-    centers = c0 + w0 * np.repeat([-0.5, 0.0, 0.5], 5)
-    widths = w0 * np.tile([0.6, 1.0, 1.5, 2.25, 3.4], 3)
-    env = np.exp(-0.5 * ((x - centers[:, None]) / widths[:, None]) ** 2)
-    return centers, widths, env
-
-
-def _envelope_grid_fit(x, y, grid, k0=None):
-    """Pick envelope shape by grid search, coefficients by linear solve.
-
-    For each candidate (center, width) of ``grid`` the remaining
-    parameters are a plain linear least-squares problem, solved for all
-    candidates in one stacked pseudo-inverse: [env, 1] when fringe-blind,
-    plus the envelope-weighted fringe quadratures when ``k0`` is known.
-    Candidates with non-finite coefficients or a non-positive amplitude
-    are skipped; the first lowest cost wins.  The grid avoids the
-    degenerate flat-envelope corner a free nonlinear prefit can wander
-    into, and is fully deterministic.
-    """
-    centers, widths, env = grid
-    cols = [env, np.ones_like(env)]
-    if k0 is not None:
-        phase = k0 * (x - centers[:, None])
-        cols[1:1] = [env * np.cos(phase), env * np.sin(phase)]
-    basis = np.stack(cols, axis=-1)
-    coef = np.linalg.pinv(basis) @ y
-    cost = np.sum(((basis @ coef[..., None])[..., 0] - y) ** 2, axis=1)
-    ok = np.flatnonzero(np.isfinite(coef).all(axis=1) & (coef[:, 0] > 0))
-    if ok.size == 0:
-        raise ValueError("profile has no envelope-like structure")
-    i = ok[np.argmin(cost[ok])]
-    return float(centers[i]), float(widths[i]), coef[i]
-
-
-def _residual_fringe_guess(residual, step):
-    """Dominant residual frequency via the windowed periodogram.
-
-    The top 15% of bins are excluded: an oversampling scan never has a
-    real fringe there, while white noise peaks pile up at Nyquist.  For
-    the >= 8 points ``initial_guess`` requires, the peak bin i lies in
-    [2, len(spec) - 2], so both neighbours of the parabolic
-    interpolation exist."""
-    window = np.hanning(len(residual))
-    spec = np.fft.rfft(residual * window)
-    freqs = 2.0 * math.pi * np.fft.rfftfreq(len(residual), d=step)
-    lo = 2
-    hi = max(lo + 2, int(0.85 * len(spec)))
-    i = lo + int(np.argmax(np.abs(spec[lo:hi])))
-    a, b, c = np.abs(spec[i - 1]), np.abs(spec[i]), np.abs(spec[i + 1])
-    denom = a - 2 * b + c
-    shift = 0.5 * (a - c) / denom if denom != 0 else 0.0
-    k0 = freqs[i] + shift * (freqs[1] - freqs[0])
-    return float(max(k0, freqs[1] / 2.0))
-
-
 def initial_guess(positions_mm, rates_cps):
     """Data-driven starting point, reproducible without hand-tuning.
 
     A fringe-blind envelope prefit supplies amplitude, center, width and
     background; the spectral peak of its residual gives the fringe
     wavenumber; projecting the residual on the envelope-weighted
-    quadrature pair gives the fringe phase and visibility."""
+    quadrature pair gives the fringe phase and visibility.  This is
+    ``_start_points`` of a stack of one."""
     x = np.asarray(positions_mm, dtype=float)
     y = np.asarray(rates_cps, dtype=float)
     if x.size < 8:
         raise ValueError("need at least 8 points for an initial guess")
-    c0, w0 = _moment_scales(x, y)
+    (start,) = _start_points(x, y[None])
+    if isinstance(start, str):
+        raise ValueError(start)
+    return start
+
+
+def _start_points(x, y):
+    """``initial_guess`` for each row of ``y`` (rows, n) on one grid ``x`` of >= 8 points.
+
+    Per row, a start ScanFitModel or the text of the ValueError that ends
+    its start; the rows run together, and each gets the numbers it gets
+    alone.  The moment scales (centroid c0, width w0) place 15 candidate
+    envelopes, centers c0 + (-0.5, 0, 0.5) w0 by widths (0.6 ... 3.4) w0;
+    the grid avoids the flat-envelope corner a free nonlinear prefit can
+    wander into.  A fringe-blind grid pass on [envelope, 1] isolates the
+    slow structure.  The windowed periodogram of its residual gives the
+    fringe wavenumber: the parabolic peak, the top 15% of bins excluded
+    (an oversampling scan has no real fringe there, while white noise
+    piles up at Nyquist); with >= 8 points both neighbours of the peak
+    exist.  A joint grid pass adds the envelope-weighted fringe
+    quadratures: y ~ bg + a env + (a V cos phi) env cos - (a V sin phi) env sin.
+    """
+    starts = [None] * len(y)
+
+    def drop(failed, message):
+        for i in rows[failed]:
+            starts[i] = message
+        return ~failed
+
+    rows = np.arange(len(y))
+    yp = np.clip(y - y.min(axis=1, keepdims=True), 0.0, None)
+    total = yp.sum(axis=1)
+    keep = drop(~(total > 0), "profile has no mass above background")
+    rows, y, yp, total = rows[keep], y[keep], yp[keep], total[keep]
+    if not rows.size:
+        return starts
     step = float(np.mean(np.diff(x)))
-    # Fringe-blind pass isolates the slow structure; its residual carries
-    # the fringe for the spectral stage.
-    grid = _envelope_grid(x, c0, w0)
-    center, width, coef = _envelope_grid_fit(x, y, grid)
-    env = np.exp(-0.5 * ((x - center) / width) ** 2)
-    residual = y - (coef[0] * env + coef[1])
-    k0 = _residual_fringe_guess(residual, step)
-    # Joint pass with the fringe quadratures:
-    # y ~ bg + a*env + (a V cos phi)*env*cos - (a V sin phi)*env*sin.
-    center, width, coef = _envelope_grid_fit(x, y, grid, k0=k0)
-    amplitude, q_cos, q_sin, bg = (float(v) for v in coef)
-    fringe_amp = math.hypot(q_cos, q_sin)
-    phase = math.atan2(-q_sin, q_cos)
-    vis = min(max(fringe_amp / max(amplitude, 1e-12), 0.02), 0.98)
-    amplitude = max(amplitude, 1e-9)
-    return ScanFitModel(amplitude, center, max(width, 1e-6), k0, phase, vis, max(bg, 0.0))
+    c0 = (x * yp).sum(axis=1) / total
+    w0 = np.sqrt(np.maximum(((x - c0[:, None]) ** 2 * yp).sum(axis=1) / total, step**2))
+    centers = c0[:, None] + w0[:, None] * np.array([-0.5, 0.0, 0.5])
+    widths = w0[:, None] * np.array([0.6, 1.0, 1.5, 2.25, 3.4])
+    u = x - centers[..., None, None]
+    env = np.exp(-0.5 * (u / widths[:, None, :, None]) ** 2)
+
+    pick, coef = _best_candidate(*_grid_solve(y, [env]))
+    keep = drop(pick < 0, "profile has no envelope-like structure")
+    rows, y, centers, widths, u, env, pick, coef = (
+        a[keep] for a in (rows, y, centers, widths, u, env, pick, coef))
+    if not rows.size:
+        return starts
+    r = np.arange(len(y))
+    blind = env.reshape(len(y), -1, x.size)[r, pick]
+    residual = y - (coef[:, 0, None] * blind + coef[:, 1, None])
+    spec = np.abs(np.fft.rfft(residual * np.hanning(x.size), axis=1))
+    freqs = 2.0 * math.pi * np.fft.rfftfreq(x.size, d=step)
+    lo = 2
+    hi = max(lo + 2, int(0.85 * spec.shape[1]))
+    peak = lo + np.argmax(spec[:, lo:hi], axis=1)
+    a, b, c = spec[r, peak - 1], spec[r, peak], spec[r, peak + 1]
+    denom = a - 2 * b + c
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shift = np.where(denom != 0, 0.5 * (a - c) / denom, 0.0)
+    k0 = np.maximum(freqs[peak] + shift * (freqs[1] - freqs[0]), freqs[1] / 2.0)
+
+    fringe = k0[:, None, None, None] * u
+    cos, sin = np.cos(fringe), np.sin(fringe)
+    pick, coef = _best_candidate(*_grid_solve(y, [env, env * cos, env * sin]))
+    for j, i in enumerate(rows):
+        if pick[j] < 0:
+            starts[i] = "profile has no envelope-like structure"
+            continue
+        amplitude, q_cos, q_sin, bg = (float(v) for v in coef[j])
+        center, width = float(centers[j, pick[j] // 5]), float(widths[j, pick[j] % 5])
+        fringe_amp = math.hypot(q_cos, q_sin)
+        phase = math.atan2(-q_sin, q_cos)
+        vis = min(max(fringe_amp / max(amplitude, 1e-12), 0.02), 0.98)
+        amplitude = max(amplitude, 1e-9)
+        starts[i] = ScanFitModel(amplitude, center, max(width, 1e-6), float(k0[j]), phase, vis,
+                                 max(bg, 0.0))
+    return starts
+
+
+def _grid_solve(y, cols):
+    """Linear least squares of each row of ``y`` (rows, n) on each grid candidate's basis.
+
+    A candidate's basis is the columns ``cols``, each (rows, 3, 5, n)
+    (three centers by five widths), then a constant.  Its
+    coefficients solve the normal equations (B^T B) c = B^T y, with the
+    Gram sums taken column by column and every candidate solved in one
+    batched call; a singular candidate gets NaN coefficients.  Returns the
+    coefficients (rows, 15, k) and the costs |B c - y|^2 (rows, 15), the
+    candidates in grid order, centers outermost.
+    """
+    yc = y[:, None, None, :]
+    k = len(cols) + 1
+    shape = cols[0].shape[:-1]
+    gram, rhs = np.empty(shape + (k, k)), np.empty(shape + (k,))
+    for i, a in enumerate(cols):
+        for j in range(i, k - 1):
+            gram[..., i, j] = gram[..., j, i] = np.vecdot(a, cols[j])
+        gram[..., i, -1] = gram[..., -1, i] = a.sum(axis=-1)
+        rhs[..., i] = np.vecdot(a, yc)
+    gram[..., -1, -1] = y.shape[1]
+    rhs[..., -1] = y.sum(axis=1)[:, None, None]
+    coef = _solve_rows(gram.reshape(-1, k, k), rhs.reshape(-1, k)).reshape(shape + (k,))
+    with np.errstate(invalid="ignore", over="ignore"):
+        fit = coef[..., -1:] - yc
+        for i, a in enumerate(cols):
+            fit += coef[..., i, None] * a
+        cost = _row_dot(fit)
+    return coef.reshape(len(y), -1, k), cost.reshape(len(y), -1)
+
+
+def _best_candidate(coef, cost):
+    """Per row, the index of the first lowest-cost candidate with finite coefficients and a
+    positive envelope amplitude (-1 if none), and its coefficients."""
+    ok = np.isfinite(coef).all(axis=2) & (coef[..., 0] > 0)
+    pick = np.argmin(np.where(ok, cost, np.inf), axis=1)
+    pick = np.where(ok[np.arange(len(ok)), pick], pick, -1)
+    return pick, coef[np.arange(len(ok)), pick]
 
 
 _STALLED_NO_STEP = "optimizer_stalled: no finite step lowers the cost"
@@ -489,29 +527,19 @@ def _curvature_errors(jac):
     return [[float(math.sqrt(max(v, 0.0))) for v in np.diagonal(c)] for c in cov]
 
 
-def _scan_start(data):
-    """A scan's start point, or the non-converged FitResult that ends its fit early."""
-    if np.all(data.counts == 0):
-        return FitResult(None, {}, float("nan"), False, 0, "degenerate data: all counts zero")
-    try:
-        init = initial_guess(data.positions_mm, data.rates_cps)
-    except ValueError as exc:
-        return FitResult(None, {}, float("nan"), False, 0, f"initialization failed: {exc}")
-    span = data.positions_mm[-1] - data.positions_mm[0]
-    if span * init.fringe_wavenumber < 2.0 * 2.0 * math.pi:
-        return FitResult(None, {}, float("nan"), False, 0,
-                         "degenerate data: scan spans fewer than two fringe periods")
-    return init
+def _early_exit(message):
+    """The non-converged FitResult of a scan whose fit ends before the solver."""
+    return FitResult(None, {}, float("nan"), False, 0, message)
 
 
 def fit_scans(scans):
     """Fit the fringe model to scans on one position grid; one FitResult per scan, in order.
 
     Each scan is fit as ``fit_scan`` describes, and its result is that of
-    ``fit_scan`` on it alone, bit for bit: start points and early exits are
-    per scan, and the fits then run as one stacked ``_least_squares``.
-    Scans on different position grids, or with fewer than 10 points, raise
-    ValueError.
+    ``fit_scan`` on it alone, bit for bit: the start points are one
+    ``_start_points`` stack, early exits are per scan, and the fits then
+    run as one stacked ``_least_squares``.  Scans on different position
+    grids, or with fewer than 10 points, raise ValueError.
     """
     scans = list(scans)
     if not scans:
@@ -521,13 +549,23 @@ def fit_scans(scans):
         raise ValueError("scans must share one position grid")
     if x.size < 10:
         raise ValueError("need at least 10 scan points")
-    results = [_scan_start(data) for data in scans]
-    rows = [i for i, start in enumerate(results) if isinstance(start, ScanFitModel)]
+    results = [_early_exit("degenerate data: all counts zero") if np.all(data.counts == 0)
+               else None for data in scans]
+    live = [i for i, result in enumerate(results) if result is None]
+    rows, inits = [], []
+    if live:
+        for i, start in zip(live, _start_points(x, np.array([scans[i].rates_cps for i in live]))):
+            if isinstance(start, str):
+                results[i] = _early_exit(f"initialization failed: {start}")
+            elif (x[-1] - x[0]) * start.fringe_wavenumber < 2.0 * 2.0 * math.pi:
+                results[i] = _early_exit("degenerate data: scan spans fewer than two fringe periods")
+            else:
+                rows.append(i)
+                inits.append(start)
     if rows:
         counts = np.array([scans[i].counts for i in rows], dtype=float)
         durations = np.array([scans[i].durations_s for i in rows])
-        fits = _fit_rows(x, counts, np.sqrt(np.maximum(counts, 1.0)), durations,
-                         [results[i] for i in rows])
+        fits = _fit_rows(x, counts, np.sqrt(np.maximum(counts, 1.0)), durations, inits)
         for i, fit in zip(rows, fits):
             results[i] = fit
     return results

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .engine import KlyshkoPath, _check_alpha, synthesize_image
+from .engine import KlyshkoPath, _check_alpha, _convolution_pad, synthesize_image
 from .model import AnalyticKernel, ObjectPattern, kernel_from_turbulence, model_visibility
 
 __all__ = [
@@ -162,6 +162,22 @@ def _fine_grid(envelope_width_mm, fringe_wavenumber, slit_width_mm, first_mm, la
     return lo, step, math.ceil(span) + 1 if math.isfinite(span) else math.inf
 
 
+def _image_route(path: KlyshkoPath, alpha_per_mm2, pattern: ObjectPattern, mode):
+    """The (kernel, contrast) pair a scan's image is formed with; see ``expected_scan_rates``."""
+    if mode == "analytic" and pattern.form == "sinusoid":
+        return AnalyticKernel(0.0), model_visibility(path.optics, pattern, alpha_per_mm2,
+                                                     path.effective_distance_mm)
+    return (kernel_from_turbulence(alpha_per_mm2, path.effective_distance_mm, path.k),
+            model_visibility(path.optics, pattern, 0.0, 0.0))
+
+
+def _synthesis_samples(grid, kernel):
+    """Samples a scan's synthesis holds on ``grid`` (``_fine_grid``'s start, step and count):
+    the grid and, for a blurring kernel, ``synthesize_image``'s pad on each side."""
+    _, step, n = grid
+    return n if math.isinf(n) else n + 2 * _convolution_pad(kernel, step)
+
+
 def expected_scan_rates(
     path: KlyshkoPath,
     alpha_per_mm2,
@@ -183,26 +199,21 @@ def expected_scan_rates(
     top-hat is applied on a fine grid, and the result is scaled so the
     profile peak sits at the detector's peak rate, plus the background.
     ``alpha_per_mm2`` must equal the path's.  A fine grid of more than
-    ``MAX_GRID_POINTS`` samples is a ValueError before it is allocated.
+    ``MAX_GRID_POINTS`` samples, the kernel's pad on each side included, is
+    a ValueError before it is allocated.
     """
     _check_alpha(path, alpha_per_mm2)
     if mode not in SCAN_MODES:
         raise ValueError(f"mode must be one of {SCAN_MODES}, got {mode!r}")
     positions = np.asarray(positions_mm, dtype=float)
-    lo, fine_dx, n = _fine_grid(pattern.envelope_width_mm, pattern.fringe_wavenumber,
-                                detector.slit_width_mm, positions[0], positions[-1])
-    if n > MAX_GRID_POINTS:
-        raise ValueError(f"scan synthesis needs a fine grid of {n:.3g} samples, "
-                         f"more than MAX_GRID_POINTS = {MAX_GRID_POINTS}")
+    kernel, contrast = _image_route(path, alpha_per_mm2, pattern, mode)
+    lo, fine_dx, n = fine = _fine_grid(pattern.envelope_width_mm, pattern.fringe_wavenumber,
+                                       detector.slit_width_mm, positions[0], positions[-1])
+    held = _synthesis_samples(fine, kernel)
+    if held > MAX_GRID_POINTS:
+        raise ValueError(f"scan synthesis needs a fine grid of {held:.3g} samples, kernel pad "
+                         f"included, more than MAX_GRID_POINTS = {MAX_GRID_POINTS}")
     grid = lo + fine_dx * np.arange(n)
-
-    d = path.effective_distance_mm
-    if mode == "analytic" and pattern.form == "sinusoid":
-        kernel = AnalyticKernel(0.0)
-        contrast = model_visibility(path.optics, pattern, alpha_per_mm2, d)
-    else:
-        kernel = kernel_from_turbulence(alpha_per_mm2, d, path.k)
-        contrast = model_visibility(path.optics, pattern, 0.0, 0.0)
     seen = replace(pattern, intrinsic_visibility=contrast)
     image = synthesize_image(kernel, seen, positions_mm=grid).values
     gy = _slit_convolve(image, grid[1] - grid[0], detector.slit_width_mm)

@@ -369,6 +369,24 @@ def test_synthesis_ceiling_refused_at_load_naming_the_key(key, value):
         load_config_dict(raw)
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("engine", "mode", "kernel"),
+    ("pattern", "form", "squarewave"),
+])
+def test_kernel_pad_ceiling_refused_at_load_naming_alpha(section, key, value):
+    # Both routes blur with the path's kernel, and alpha = 1e12 mm^-2 at
+    # d = 482 mm pads the fine grid by ~1.8e8 samples per side.  Loading
+    # only: nothing is synthesized.
+    raw = read_config_json(bundled_config_path("paper_unshifted.json"))
+    raw[section][key] = value
+    raw["turbulence_sweep"][4]["alpha_per_mm2"] = 1e12
+    with pytest.raises(ConfigValueError,
+                       match=r"^turbulence_sweep\[4\]\.alpha_per_mm2: .* 3\.\d+e\+08 samples"):
+        load_config_dict(raw)
+    raw[section][key] = ("analytic" if key == "mode" else "sinusoid")
+    assert load_config_dict(raw).sweep[4].alpha_per_mm2 == 1e12  # the ideal kernel pads nothing
+
+
 class TestConfigEcho:
     KERNEL_MODE = {
         "schema_version": 1,

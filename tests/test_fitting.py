@@ -13,14 +13,14 @@ from turbghost.fitting import (
     ScanFitModel,
     _PARAM_HI,
     _PARAM_LO,
+    _best_candidate,
     _curvature_errors,
-    _envelope_grid,
-    _envelope_grid_fit,
     _evaluate_vector,
     _fit_rows,
+    _grid_solve,
     _model_jacobian,
-    _moment_scales,
     _solve_rows,
+    _start_points,
     fit_alpha,
     fit_profile,
     fit_scan,
@@ -441,59 +441,177 @@ class TestStackedFits:
         assert np.isnan(steps[1]).all()
 
 
+def moment_scales(x, y):
+    """Centroid and second-moment width of one above-baseline profile."""
+    yp = np.clip(y - float(y.min()), 0.0, None)
+    total = yp.sum()
+    step = float(np.mean(np.diff(x)))
+    c0 = float((x * yp).sum() / total)
+    return c0, math.sqrt(max(float(((x - c0) ** 2 * yp).sum() / total), step**2))
+
+
+def grid_candidates(c0, w0):
+    """The 15 (center, width) grid candidates, centers outermost."""
+    return [(c, w) for c in (c0 - 0.5 * w0, c0, c0 + 0.5 * w0)
+            for w in (0.6 * w0, w0, 1.5 * w0, 2.25 * w0, 3.4 * w0)]
+
+
 def loop_grid_fit(x, y, c0, w0, k0=None):
     """The grid search as one least-squares solve per candidate, in grid order."""
     best = None
-    for c in (c0 - 0.5 * w0, c0, c0 + 0.5 * w0):
-        for w in (0.6 * w0, w0, 1.5 * w0, 2.25 * w0, 3.4 * w0):
-            env = np.exp(-0.5 * ((x - c) / w) ** 2)
-            cols = [env, np.ones_like(x)]
-            if k0 is not None:
-                cols.insert(1, env * np.cos(k0 * (x - c)))
-                cols.insert(2, env * np.sin(k0 * (x - c)))
-            basis = np.column_stack(cols)
-            coef, *_ = np.linalg.lstsq(basis, y, rcond=None)
-            if not np.isfinite(coef).all() or coef[0] <= 0:
-                continue
-            cost = float(np.sum((basis @ coef - y) ** 2))
-            if best is None or cost < best[0]:
-                best = (cost, c, w, coef)
+    for c, w in grid_candidates(c0, w0):
+        env = np.exp(-0.5 * ((x - c) / w) ** 2)
+        cols = [env, np.ones_like(x)]
+        if k0 is not None:
+            cols.insert(1, env * np.cos(k0 * (x - c)))
+            cols.insert(2, env * np.sin(k0 * (x - c)))
+        basis = np.column_stack(cols)
+        coef, *_ = np.linalg.lstsq(basis, y, rcond=None)
+        if not np.isfinite(coef).all() or coef[0] <= 0:
+            continue
+        cost = float(np.sum((basis @ coef - y) ** 2))
+        if best is None or cost < best[0]:
+            best = (cost, c, w, coef)
     if best is None:
         raise ValueError("profile has no envelope-like structure")
     return best[1], best[2], best[3]
 
 
+def grid_envelopes(x, y, widths=None):
+    """Per row of y, the 15 candidate envelopes (rows, 3, 5, n) and the widths (rows, 5)."""
+    c0, w0 = np.array([moment_scales(x, row) for row in y]).T
+    centers = c0[:, None] + w0[:, None] * np.array([-0.5, 0.0, 0.5])
+    if widths is None:
+        widths = w0[:, None] * np.array([0.6, 1.0, 1.5, 2.25, 3.4])
+    with np.errstate(over="ignore"):
+        u = (x - centers[..., None, None]) / widths[:, None, :, None]
+        return np.exp(-0.5 * u**2), widths
+
+
 class TestEnvelopeGridFit:
     @staticmethod
-    def profiles():
+    def stacks():
         x = np.linspace(-0.4, 0.4, 161)
         fixture = read_scan_csv(FIXTURE)
-        yield x, TRUTH.evaluate(x)
-        yield fixture.positions_mm, fixture.rates_cps
-        for data in seeded_scans(20):
-            yield data.positions_mm, data.rates_cps
+        yield x, TRUTH.evaluate(x)[None]
+        yield fixture.positions_mm, fixture.rates_cps[None]
+        scans = seeded_scans(20)
+        yield scans[0].positions_mm, np.array([data.rates_cps for data in scans])
 
-    def test_stacked_solve_matches_candidate_loop(self):
-        for x, y in self.profiles():
-            c0, w0 = _moment_scales(x, y)
-            grid = _envelope_grid(x, c0, w0)
-            for k0 in (None, initial_guess(x, y).fringe_wavenumber):
-                center, width, coef = _envelope_grid_fit(x, y, grid, k0=k0)
-                ref_center, ref_width, ref_coef = loop_grid_fit(x, y, c0, w0, k0=k0)
-                assert (center, width) == (ref_center, ref_width)
-                np.testing.assert_allclose(
-                    coef, ref_coef, rtol=1e-9, atol=1e-9 * np.abs(ref_coef).max()
-                )
+    def test_stacked_solve_matches_candidate_loop(self, monkeypatch):
+        # Both grid passes of a start-point stack (normal equations, all
+        # candidates and rows at once) against one lstsq per candidate.
+        solves = []
+
+        def recording(y, cols):
+            solves.append(_grid_solve(y, cols))
+            return solves[-1]
+
+        monkeypatch.setattr(fitting, "_grid_solve", recording)
+        for x, ys in self.stacks():
+            solves.clear()
+            starts = _start_points(x, ys)
+            assert len(solves) == 2
+            for k0s, solve in zip(([None] * len(ys), [s.fringe_wavenumber for s in starts]),
+                                  solves):
+                picks, coefs = _best_candidate(*solve)
+                for y, start, k0, pick, coef in zip(ys, starts, k0s, picks, coefs):
+                    c0, w0 = moment_scales(x, y)
+                    center, width = grid_candidates(c0, w0)[pick]
+                    ref_center, ref_width, ref_coef = loop_grid_fit(x, y, c0, w0, k0=k0)
+                    assert (center, width) == (ref_center, ref_width)
+                    np.testing.assert_allclose(
+                        coef, ref_coef, rtol=1e-9, atol=1e-9 * np.abs(ref_coef).max()
+                    )
+                    if k0 is not None:
+                        assert (start.center_mm, start.envelope_width_mm) == (center, width)
 
     def test_no_envelope_rejected(self):
         # A dip: every candidate's envelope amplitude comes out negative.
         x = np.linspace(-0.4, 0.4, 40)
         y = 10.0 - 5.0 * np.exp(-0.5 * (x / 0.1) ** 2)
-        c0, w0 = _moment_scales(x, y)
+        c0, w0 = moment_scales(x, y)
         with pytest.raises(ValueError, match="no envelope-like structure"):
             loop_grid_fit(x, y, c0, w0)
-        with pytest.raises(ValueError, match="no envelope-like structure"):
-            _envelope_grid_fit(x, y, _envelope_grid(x, c0, w0))
+        assert _start_points(x, y[None]) == ["profile has no envelope-like structure"]
+
+    def test_singular_candidate_is_skipped(self):
+        # Row 1's winning width narrowed until its envelope underflows to 0
+        # at every position: those three candidates' normal equations are
+        # singular.  They get NaN coefficients and lose to the runner-up;
+        # every other candidate and row keeps its values.
+        scans = seeded_scans(3)
+        x = scans[0].positions_mm
+        y = np.array([data.rates_cps for data in scans])
+        env, widths = grid_envelopes(x, y)
+        ref_coef, ref_cost = _grid_solve(y, [env])
+        ref_pick, _ = _best_candidate(ref_coef, ref_cost)
+        narrowed = ref_pick[1] % 5
+        widths[1, narrowed] = 1e-300
+        env, _ = grid_envelopes(x, y, widths)
+        assert not env[1, :, narrowed].any()
+        coef, cost = _grid_solve(y, [env])
+        skipped = np.zeros((3, 15), dtype=bool)
+        skipped[1, narrowed::5] = True
+        assert np.isnan(coef[skipped]).all()
+        np.testing.assert_array_equal(coef[~skipped], ref_coef[~skipped])
+        np.testing.assert_array_equal(cost[~skipped], ref_cost[~skipped])
+        pick, best = _best_candidate(coef, cost)
+        assert pick[1] == np.argmin(np.where(skipped[1], np.inf, ref_cost[1]))
+        assert pick[1] != ref_pick[1]
+        np.testing.assert_array_equal(pick[[0, 2]], ref_pick[[0, 2]])
+        np.testing.assert_array_equal(best[1], ref_coef[1, pick[1]])
+
+
+class TestStartPoints:
+    def test_mixed_stack_equals_single_starts(self):
+        # Every early exit and the iteration-limit stall in one stack on one
+        # grid: each row's start (or its ValueError text) and its fit are
+        # what the row gets alone.
+        scans = seeded_scans(4)
+        x = scans[0].positions_mm
+        zero = ScanData(x, np.zeros(x.size, dtype=np.int64), np.full(x.size, 4.0))
+        flat = ScanData(x, np.full(x.size, 100), np.full(x.size, 4.0))
+        dip = 10.0 - 5.0 * np.exp(-0.5 * (x / 0.1) ** 2)
+        dip = ScanData(x, np.rint(dip * 100.0).astype(np.int64), np.full(x.size, 100.0))
+        slow = ScanFitModel(50.0, 0.0, 0.4, 2.0, 0.0, 0.5, 0.0)  # period ~ 3 mm
+        slow = ScanData(x, np.rint(slow.evaluate(x) * 100).astype(np.int64), np.full(x.size, 100.0))
+        stack = [scans[0], zero, flat, scans[1], dip, slow, stalling_scan(), *scans[2:]]
+        starts = _start_points(x, np.array([data.rates_cps for data in stack]))
+        for data, start in zip(stack, starts):
+            if isinstance(start, str):
+                with pytest.raises(ValueError) as exc:
+                    initial_guess(x, data.rates_cps)
+                assert str(exc.value) == start
+            else:
+                assert start == initial_guess(x, data.rates_cps)
+        stacked = fit_scans(stack)
+        assert [fit.to_json() for fit in stacked] == [fit_scan(data).to_json() for data in stack]
+        assert [fit.message for fit in stacked[1:3] + stacked[4:7]] == [
+            "degenerate data: all counts zero",
+            "initialization failed: profile has no mass above background",
+            "initialization failed: profile has no envelope-like structure",
+            "degenerate data: scan spans fewer than two fringe periods",
+            "optimizer_stalled: iteration limit reached",
+        ]
+        assert all(fit.converged for i, fit in enumerate(stacked) if i not in (1, 2, 4, 5, 6))
+
+    def test_start_takes_no_svd(self, monkeypatch):
+        # The start solves its grid by normal equations; an SVD anywhere in
+        # initial_guess or in fit_scans' start stack fails this test.
+        scans = seeded_scans(4)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the start point took an SVD")
+
+        monkeypatch.setattr(np.linalg, "pinv", refuse)
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        singles = [initial_guess(data.positions_mm, data.rates_cps) for data in scans]
+        inits = []
+        monkeypatch.setattr(fitting, "_fit_rows",
+                            lambda x, y, sig, scale, starts: inits.extend(starts) or starts)
+        fit_scans(scans)
+        assert inits == singles
 
 
 def reference_fit(data):

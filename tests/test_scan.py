@@ -6,6 +6,7 @@ import pytest
 from turbghost.engine import KlyshkoPath
 from turbghost.fitting import fit_profile, fit_scan, slit_factor
 from turbghost.model import (
+    AnalyticKernel,
     ObjectPattern,
     OpticsConfig,
     TurbulenceSpec,
@@ -22,6 +23,7 @@ from turbghost.scan import (
     ScanCSVError,
     ScanData,
     _fine_grid,
+    _synthesis_samples,
     expected_scan_rates,
     read_scan_csv,
     simulate_scan,
@@ -213,6 +215,21 @@ class TestSynthesisCeiling:
         path = KlyshkoPath(OpticsConfig(), TurbulenceSpec.crystal_side(2.0, 482.0))
         with pytest.raises(ValueError, match="fine grid"):
             expected_scan_rates(path, 2.0, pattern, DetectorModel(), positions)
+
+    def test_kernel_pad_past_the_ceiling_refused_before_allocation(self):
+        # sigma = 300 mm pads the bundled ~2,300-sample grid by ~1.1e6
+        # samples per side at the fringe's step of 1.4 um: about twice the
+        # ceiling in all.  The ideal kernel of analytic mode pads nothing.
+        alpha = (300.0 * OpticsConfig().k / 482.0) ** 2
+        path = KlyshkoPath(OpticsConfig(), TurbulenceSpec.crystal_side(alpha, 482.0))
+        det, pattern, positions = DetectorModel(), ObjectPattern(), [-0.3975, 0.3975]
+        with pytest.raises(ValueError, match="kernel pad included"):
+            expected_scan_rates(path, alpha, pattern, det, positions, mode="kernel")
+        fine = _fine_grid(pattern.envelope_width_mm, pattern.fringe_wavenumber,
+                          det.slit_width_mm, *positions)
+        assert fine[2] < MAX_GRID_POINTS / 100
+        assert _synthesis_samples(fine, AnalyticKernel(0.0)) == fine[2]
+        assert 2 * MAX_GRID_POINTS < _synthesis_samples(fine, AnalyticKernel(300.0)) < 3 * MAX_GRID_POINTS
 
     def test_bundled_scan_grid_well_under_the_ceiling(self):
         det, pattern = DetectorModel(), ObjectPattern()
