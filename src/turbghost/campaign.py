@@ -32,7 +32,7 @@ from .config import (
     load_config,
 )
 from .engine import KlyshkoPath
-from .fitting import fit_scans, slit_correction, slit_factor
+from .fitting import MIN_SCAN_POINTS, fit_scans, slit_correction, slit_factor
 from .model import (
     TurbulenceSpec,
     VALIDITY_WARN_THRESHOLD,
@@ -198,11 +198,9 @@ def _run_points(config: ExperimentConfig, indices):
     """Simulate sweep points ``indices`` and fit their scans as one stack.
 
     Each point gets the CampaignPoint it would get alone.  A point whose
-    scan, fit or correction fails records the error; if the stacked fit
-    raises, each scan is fit alone, so the error lands on the point that
-    raised it."""
+    scan or correction fails records the error, as does a failed fit."""
     bases = {i: _point_fields(config, i) for i in indices}
-    points, scans, fits = {}, {}, {}
+    points, scans = {}, {}
 
     def fail(i, exc):
         points[i] = CampaignPoint(**bases[i], error=f"{type(exc).__name__}: {exc}")
@@ -212,15 +210,7 @@ def _run_points(config: ExperimentConfig, indices):
             scans[i] = _scan(config, config.sweep[i], bases[i]["seed"])
         except _POINT_ERRORS as exc:
             fail(i, exc)
-    try:
-        fits = dict(zip(scans, fit_scans(scans.values())))
-    except _POINT_ERRORS:
-        for i, data in scans.items():
-            try:
-                fits[i] = fit_scans([data])[0]
-            except _POINT_ERRORS as exc:
-                fail(i, exc)
-    for i, result in fits.items():
+    for i, result in zip(scans, fit_scans(scans.values())):
         try:
             points[i] = _fitted_point(bases[i], result, config.detector.slit_width_mm)
         except _POINT_ERRORS as exc:
@@ -231,14 +221,17 @@ def _run_points(config: ExperimentConfig, indices):
 def run_campaign(config: ExperimentConfig):
     """Simulate and fit every sweep point; deterministic per master seed.
     Each point is slit-corrected at its fitted fringe wavenumber.  A slit too
-    wide for the nominal fringe, or a square-wave pattern (whose fit reads
-    harmonics the sinusoid law does not model), is a ConfigValueError before
-    any point runs.  Points run in sweep order, in stacks of
-    ``_FIT_STACK_SAMPLES`` scan samples fitted together; every point's
-    numbers are those it gets alone."""
+    wide for the nominal fringe, a square-wave pattern (whose fit reads
+    harmonics the sinusoid law does not model) or scans shorter than
+    ``fitting.MIN_SCAN_POINTS`` are a ConfigValueError before any point
+    runs.  Points run in sweep order, ``_FIT_STACK_SAMPLES`` scan samples
+    fitted together; every point's numbers are those it gets alone."""
     start = time.perf_counter()
     if config.pattern.form == "squarewave":
         raise ConfigValueError("pattern.form: a squarewave's fit does not measure the sinusoid law")
+    if config.engine.scan_points < MIN_SCAN_POINTS:
+        raise ConfigValueError(f"engine.scan_points: a scan fit needs at least {MIN_SCAN_POINTS} "
+                               f"points, got {config.engine.scan_points}")
     try:
         slit_factor(config.pattern.fringe_wavenumber, config.detector.slit_width_mm)
     except ValueError as exc:

@@ -42,7 +42,7 @@ from .model import (
     model_visibility,
     wavenumber,
 )
-from .scan import read_scan_csv, write_scan_csv
+from .scan import MAX_GRID_POINTS, read_scan_csv, write_scan_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -104,8 +104,9 @@ def _cmd_analytic(args):
         if args.effective_distance_mm is not None:
             raise ConfigError("--effective-distance-mm is not read with --curve")
         lo, hi, n = args.curve
-        if not (n >= 1 and n.is_integer()):
-            raise ConfigError(f"--curve N must be a whole number >= 1, got {n:g}")
+        if not (1 <= n <= MAX_GRID_POINTS and n.is_integer()):  # before any allocation
+            raise ConfigError(f"--curve N must be a whole number in [1, {MAX_GRID_POINTS}], "
+                              f"got {n:g}")
         d = np.linspace(lo, hi, int(n))
         v = model_visibility(optics, pattern, args.alpha_per_mm2, d)
         text = "\n".join(["d_mm,V"] + [f"{di:.10g},{vi:.10g}" for di, vi in zip(d, v)])

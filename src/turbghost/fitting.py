@@ -1,21 +1,16 @@
 """Nonlinear least-squares recovery of fringe visibility and turbulence strength.
 
-Scans are fit with a seven-parameter fringe model
+Scans are fit with the fringe model
 ``background + amplitude * exp(-((x-x0)/w)^2/2) * (1 + V cos(k0 (x-x0) + phi))``
-under Poisson weights (variance max(counts, 1)).  Every fit in the package,
-the kernel width in ``fit_kernel_sigma`` included, runs one numpy
-solver, ``_least_squares``: box-bounded Levenberg-Marquardt with Moré's
-scaling, here driven by the model's closed-form Jacobian, with the bounds
-keeping V in [0, 1].  Standard errors come from the local curvature of the
-weighted objective, (J^T J)^-1 at the solution.
-
-The solver runs a stack of fits at once, each row on its own schedule;
-a single fit is a stack of one.  ``fit_scans`` fits scans that share one
-position grid, as a campaign's scans do, in one stack, and each result
-is bit for bit the one ``fit_scan`` gives that scan alone.  Their start
-points are one stack too: ``_start_points`` runs ``initial_guess`` over
-the rows, with each of its 15 grid candidates solved by its normal
-equations, no SVD.
+under Poisson weights (variance max(counts, 1)).  It is linear in A, A V
+and B, so the fit runs by variable projection (Golub & Pereyra 1973): the
+loop moves (x0, w, k0, phi), and each evaluation, ``_project``, solves the
+linear part with ``_linear_solve``, as the start points' grid does.
+V <= 1 is the linear bound |A V| <= A, kept by an active set; the
+Jacobian is Kaufman's (1975).  Standard errors come from (J^T J)^-1 of
+the seven-parameter Jacobian at the equivalent point.  Every fit runs one
+numpy solver, ``_least_squares``, over a stack of fits, and a campaign's
+scans are one stack (``fit_scans``), each row the fit it gets alone.
 
 Visibility-vs-distance campaigns are reduced to the turbulence strength
 ``alpha`` by weighted least squares of the attenuation law
@@ -49,6 +44,10 @@ __all__ = [
 
 MAX_ITERATIONS = 500
 OBJECTIVE_TOL = 1e-10
+#: Fewest positions a scan fit takes; campaigns refuse shorter scans up front.
+MIN_SCAN_POINTS = 10
+# Sound fits of 36,000 bench sweep scans span at most 1.41 scans, runaways 9 or more.
+_MAX_WIDTH_SPANS = 4.0
 
 _PARAM_NAMES = (
     "amplitude_cps",
@@ -59,9 +58,6 @@ _PARAM_NAMES = (
     "visibility",
     "background_cps",
 )
-# Box bounds: positive amplitude/width/wavenumber, visibility in [0, 1].
-_PARAM_LO = np.array([1e-12, -np.inf, 1e-9, 1e-9, -np.inf, 0.0, -np.inf])
-_PARAM_HI = np.array([np.inf, np.inf, np.inf, np.inf, np.inf, 1.0, np.inf])
 
 
 @dataclass(frozen=True)
@@ -123,15 +119,17 @@ class FitResult:
 
 
 def initial_guess(positions_mm, rates_cps):
-    """Data-driven starting point, reproducible without hand-tuning.
-
-    A fringe-blind envelope prefit supplies amplitude, center, width and
-    background; the spectral peak of its residual gives the fringe
-    wavenumber; projecting the residual on the envelope-weighted
-    quadrature pair gives the fringe phase and visibility.  This is
-    ``_start_points`` of a stack of one."""
+    """Data-driven starting point, reproducible without hand-tuning: the
+    (x0, w, k0, phi) of ``_start_points``, and the amplitude, visibility
+    and background a unit-weight fit projects there."""
     x = np.asarray(positions_mm, dtype=float)
     y = np.asarray(rates_cps, dtype=float)
+    _, _, p = _project(_one_start(x, y)[None], x, y[None], np.ones((1, x.size)))
+    return ScanFitModel.from_vector(p[0])
+
+
+def _one_start(x, y):
+    """The start (x0, w, k0, phi) of one profile; ValueError if it has none."""
     if x.size < 8:
         raise ValueError("need at least 8 points for an initial guess")
     (start,) = _start_points(x, y[None])
@@ -141,20 +139,20 @@ def initial_guess(positions_mm, rates_cps):
 
 
 def _start_points(x, y):
-    """``initial_guess`` for each row of ``y`` (rows, n) on one grid ``x`` of >= 8 points.
+    """The start (x0, w, k0, phi) of each row of ``y`` (rows, n) on one grid ``x`` of >= 8 points.
 
-    Per row, a start ScanFitModel or the text of the ValueError that ends
-    its start; the rows run together, and each gets the numbers it gets
-    alone.  The moment scales (centroid c0, width w0) place 15 candidate
-    envelopes, centers c0 + (-0.5, 0, 0.5) w0 by widths (0.6 ... 3.4) w0;
-    the grid avoids the flat-envelope corner a free nonlinear prefit can
-    wander into.  A fringe-blind grid pass on [envelope, 1] isolates the
-    slow structure.  The windowed periodogram of its residual gives the
-    fringe wavenumber: the parabolic peak, the top 15% of bins excluded
-    (an oversampling scan has no real fringe there, while white noise
-    piles up at Nyquist); with >= 8 points both neighbours of the peak
-    exist.  A joint grid pass adds the envelope-weighted fringe
-    quadratures: y ~ bg + a env + (a V cos phi) env cos - (a V sin phi) env sin.
+    Per row, the start or the text of the ValueError that ends it; each
+    row gets the numbers it gets alone.  The moment scales (centroid c0,
+    width w0) place 15 candidate envelopes, centers c0 + (-0.5, 0, 0.5) w0
+    by widths (0.6 ... 3.4) w0; the grid avoids the flat-envelope corner a
+    free nonlinear prefit can wander into.  A fringe-blind grid pass on
+    [envelope, 1] isolates the slow structure.  The windowed periodogram of
+    its residual gives the fringe wavenumber: the parabolic peak, the top
+    15% of bins excluded (an oversampling scan has no real fringe there,
+    while white noise piles up at Nyquist); with >= 8 points both
+    neighbours of the peak exist.  A joint grid pass with the
+    envelope-weighted quadratures, y ~ bg + a env + (a V cos phi) env cos -
+    (a V sin phi) env sin, picks the candidate and gives phi.
     """
     starts = [None] * len(y)
 
@@ -205,46 +203,47 @@ def _start_points(x, y):
         if pick[j] < 0:
             starts[i] = "profile has no envelope-like structure"
             continue
-        amplitude, q_cos, q_sin, bg = (float(v) for v in coef[j])
-        center, width = float(centers[j, pick[j] // 5]), float(widths[j, pick[j] % 5])
-        fringe_amp = math.hypot(q_cos, q_sin)
-        phase = math.atan2(-q_sin, q_cos)
-        vis = min(max(fringe_amp / max(amplitude, 1e-12), 0.02), 0.98)
-        amplitude = max(amplitude, 1e-9)
-        starts[i] = ScanFitModel(amplitude, center, max(width, 1e-6), float(k0[j]), phase, vis,
-                                 max(bg, 0.0))
+        q_cos, q_sin = coef[j, 1], coef[j, 2]
+        starts[i] = np.array([centers[j, pick[j] // 5], widths[j, pick[j] % 5], k0[j],
+                              math.atan2(-q_sin, q_cos)])
     return starts
 
 
 def _grid_solve(y, cols):
-    """Linear least squares of each row of ``y`` (rows, n) on each grid candidate's basis.
-
-    A candidate's basis is the columns ``cols``, each (rows, 3, 5, n)
-    (three centers by five widths), then a constant.  Its
-    coefficients solve the normal equations (B^T B) c = B^T y, with the
-    Gram sums taken column by column and every candidate solved in one
-    batched call; a singular candidate gets NaN coefficients.  Returns the
-    coefficients (rows, 15, k) and the costs |B c - y|^2 (rows, 15), the
-    candidates in grid order, centers outermost.
-    """
-    yc = y[:, None, None, :]
-    k = len(cols) + 1
-    shape = cols[0].shape[:-1]
-    gram, rhs = np.empty(shape + (k, k)), np.empty(shape + (k,))
-    for i, a in enumerate(cols):
-        for j in range(i, k - 1):
-            gram[..., i, j] = gram[..., j, i] = np.vecdot(a, cols[j])
-        gram[..., i, -1] = gram[..., -1, i] = a.sum(axis=-1)
-        rhs[..., i] = np.vecdot(a, yc)
-    gram[..., -1, -1] = y.shape[1]
-    rhs[..., -1] = y.sum(axis=1)[:, None, None]
-    coef = _solve_rows(gram.reshape(-1, k, k), rhs.reshape(-1, k)).reshape(shape + (k,))
+    """``_linear_solve`` of each row of ``y`` (rows, n) on each grid candidate's basis:
+    ``cols``, each (rows, 3, 5, n) (three centers by five widths), then a
+    constant.  Returns the coefficients (rows, 15, k) and costs (rows, 15),
+    centers outermost; a singular candidate gets NaN coefficients."""
+    coef, fit, _ = _linear_solve(y[:, None, None, :], [*cols, np.ones(y.shape[1])])
     with np.errstate(invalid="ignore", over="ignore"):
-        fit = coef[..., -1:] - yc
-        for i, a in enumerate(cols):
-            fit += coef[..., i, None] * a
         cost = _row_dot(fit)
-    return coef.reshape(len(y), -1, k), cost.reshape(len(y), -1)
+    return coef.reshape(len(y), 15, -1), cost.reshape(len(y), 15)
+
+
+def _linear_solve(y, cols):
+    """Linear least squares of ``y`` on the basis ``cols``: the c minimising |B c - y|^2.
+
+    ``y`` and the k columns broadcast to one shape (..., n), each point of
+    its leading axes a basis of its own, solved by its normal equations
+    (B^T B) c = B^T y; one batched solve also inverts B^T B, and a singular
+    basis reads NaN.  Returns c, the residual B c - y and (B^T B)^-1.
+    """
+    k = len(cols)
+    shape = np.broadcast_shapes(y.shape, *(a.shape for a in cols))[:-1]
+    system = np.empty(shape + (k, 2 * k + 1))  # [B^T B | B^T y | I]
+    for i, a in enumerate(cols):
+        for j in range(i, k):
+            system[..., i, j] = system[..., j, i] = np.vecdot(a, cols[j])
+        system[..., i, k] = np.vecdot(a, y)
+    system[..., k + 1:] = np.eye(k)
+    solved = _solve_rows(system[..., :k].reshape(-1, k, k),
+                         system[..., k:].reshape(-1, k, k + 1)).reshape(shape + (k, k + 1))
+    coef = solved[..., 0]
+    with np.errstate(invalid="ignore", over="ignore"):
+        fit = coef[..., -1:] * cols[-1] - y
+        for i, a in enumerate(cols[:-1]):
+            fit += coef[..., i, None] * a
+    return coef, fit, solved[..., 1:]
 
 
 def _best_candidate(coef, cost):
@@ -256,10 +255,8 @@ def _best_candidate(coef, cost):
     return pick, coef[np.arange(len(ok)), pick]
 
 
-_STALLED_NO_STEP = "optimizer_stalled: no finite step lowers the cost"
 _STALLED_LIMIT = "optimizer_stalled: iteration limit reached"
-_CONVERGED_STEP = "converged: step below tolerance"
-_CONVERGED_COST = "converged: relative cost decrease below tolerance"
+_RUNAWAY = f"degenerate data: envelope wider than {_MAX_WIDTH_SPANS:g} scan spans"
 
 
 def _row_dot(a):
@@ -268,9 +265,10 @@ def _row_dot(a):
 
 
 def _solve_rows(a, b):
-    """np.linalg.solve(a[i], b[i]) per row; a singular row gets NaN, not an error for all."""
+    """np.linalg.solve(a[i], b[i]) per row, b (rows, k, m); a singular row gets NaN, not an
+    error for all."""
     try:
-        return np.linalg.solve(a, b[..., None])[..., 0]
+        return np.linalg.solve(a, b)
     except np.linalg.LinAlgError:
         out = np.full_like(b, np.nan)
         for i in range(len(a)):
@@ -281,104 +279,101 @@ def _solve_rows(a, b):
         return out
 
 
-def _least_squares(residual, jacobian, p0, lo, hi, data=()):
+def _least_squares(fun, p0, lo, hi, data=(), guard=None):
     """Box-bounded Levenberg-Marquardt over a stack of rows: least |r_i(p_i)|^2, lo <= p_i <= hi.
 
-    ``p0`` is (rows, k) and ``data`` holds per-row arrays (leading axis
-    rows).  ``residual(p, *data)`` and ``jacobian(p, *data)`` return the
-    residuals (rows, n) and Jacobians (rows, n, k) of the rows they are
-    given; the Jacobian is taken only at accepted points.  Each row keeps
-    its own schedule.  Steps solve (J^T J + lam D^2) s = -J^T r, D the
-    running maximum of J's column norms (Moré), and are clipped to the box;
-    a parameter on a bound the gradient pushes against is held for that
-    step.  lam falls threefold per accepted step and rises tenfold per
-    rejected one.  A row converges on a relative cost decrease <=
-    OBJECTIVE_TOL or a step <= 1e-12 |p|, and stalls after MAX_ITERATIONS
-    accepted steps or when no finite step exists (a singular step matrix
-    included).
+    ``p0`` is (rows, k) and ``data`` holds per-row arrays.  ``fun(p, *data)``
+    returns, for the rows it is given, the residuals (rows, n), their
+    Jacobians (rows, n, k) and the parameter vectors the fit reports
+    (rows, m): p itself, or p with the parameters ``fun`` solves for.
+    Steps solve (J^T J + lam D^2) s = -J^T r, D the running maximum of J's
+    column norms (Moré), clipped to the box; lam falls threefold per
+    accepted step and rises tenfold per rejected one.  A row converges on a
+    relative cost decrease <= OBJECTIVE_TOL or a step <= 1e-12 |p| (a
+    clipped step that cannot move included), and stalls after
+    MAX_ITERATIONS accepted steps or when no finite step exists.
+    ``guard``, if given, is (test, message): a row whose accepted p has
+    test(p, *data) true stops with that message.
 
-    Rows advance in rounds: one stacked trial solve, then one stacked
-    residual of every row still running.  A row that stops leaves the
-    stack, so a slow row holds up no other, and every row's numbers are
-    those of its fit alone.  Returns p, r and J at p, evaluation counts and
-    stop reasons, one entry per row.
+    Rows advance in rounds, each on its own schedule: one stacked trial
+    solve, then one stacked evaluation of every row still running.  A row
+    that stops leaves the stack, so every row's numbers are those of its
+    fit alone.  Returns the reported parameters and r at each row's last
+    point, evaluation counts and stop reasons.
     """
     p = np.clip(np.asarray(p0, dtype=float), lo, hi)
-    r, jac = residual(p, *data), jacobian(p, *data)
+    r, jac, full = fun(p, *data)
     n_rows, k = p.shape
     # Every row is evaluated once per round until it stops, so a row's
     # evaluation count is 1 + the rounds run when it stops.  With
     # MAX_ITERATIONS <= 0 no row runs: each keeps its start and stalls.
-    out_p, out_r, out_jac = p.copy(), r.copy(), jac.copy()
+    out_full, out_r = full.copy(), r.copy()
     out_nfev, reasons, rounds = np.ones(n_rows, dtype=int), [_STALLED_LIMIT] * n_rows, 0
     rows = np.arange(n_rows if MAX_ITERATIONS > 0 else 0)
     # A row's accepted steps are the rounds it ran less its rejections.
     rejected, lam, cost, diag = np.zeros(n_rows, dtype=int), np.full(n_rows, 1e-3), _row_dot(r), 0.0
 
-    def retire(done, first, reason_first, reason_else):
-        """Record the rows that stop (``first`` picks their reason); return those that go on."""
+    def retire(done, reason):
+        """Record the rows that stop, row j for ``reason(j)``; return those that go on."""
         for j in np.flatnonzero(done).tolist():
             i = rows[j]
-            out_p[i], out_r[i], out_jac[i], out_nfev[i] = p[j], r[j], jac[j], 1 + rounds
-            reasons[i] = reason_first if first[j] else reason_else
+            out_full[i], out_r[i], out_nfev[i], reasons[i] = full[j], r[j], 1 + rounds, reason(j)
         return ~done
+
+    def pick(new, old):
+        """``new`` in the rows that took their step, ``old`` elsewhere."""
+        if every:
+            return new
+        out = old.copy()
+        out[better] = new[better]
+        return out
 
     linearize = True
     while rows.size:
         if linearize:
             diag = np.maximum(diag, np.sqrt((jac * jac).sum(axis=1)))  # np.linalg.norm's sum
-            jf, jft = jac, jac.transpose(0, 2, 1)
-            grad = (jft @ r[..., None])[..., 0]
-            held = ((p <= lo) & (grad > 0)) | ((p >= hi) & (grad < 0))
-            if np.count_nonzero(held):  # rare: hold those parameters
-                jf = np.where(held[:, None, :], 0.0, jac)
-                jft = jf.transpose(0, 2, 1)
-                grad = (jft @ r[..., None])[..., 0]
-            hess, damping = jft @ jf, np.zeros((len(p), k * k))
+            jt = jac.transpose(0, 2, 1)
+            grad = (jt @ r[..., None])[..., 0]
+            hess, damping = jt @ jac, np.zeros((len(p), k * k))
             damping[:, ::k + 1] = np.where(diag > 0, diag, 1.0) ** 2
             damping = damping.reshape(-1, k, k)
             tol = 1e-12 * np.sqrt(_row_dot(p))
-        trial = np.clip(p - _solve_rows(hess + lam[:, None, None] * damping, grad), lo, hi)
+        step = _solve_rows(hess + lam[:, None, None] * damping, grad[..., None])[..., 0]
+        trial = np.clip(p - step, lo, hi)
         finite = np.isfinite(trial).all(axis=1)
         halt = ~finite | (np.sqrt(_row_dot(trial - p)) <= tol)
-        if np.count_nonzero(halt):
-            keep = retire(halt, finite, _CONVERGED_STEP, _STALLED_NO_STEP)
-            if not np.count_nonzero(keep):
-                break
-            rows, p, r, jac, cost, rejected, lam, diag, hess, grad, damping, tol, trial, *data = (
-                a[keep] for a in (rows, p, r, jac, cost, rejected, lam, diag, hess, grad, damping,
-                                  tol, trial, *data))
-        r_new = residual(trial, *data)
-        rounds += 1
-        cost_new = _row_dot(r_new)
-        better = cost_new < cost
-        accepted = np.count_nonzero(better)
-        linearize = accepted > 0
-        if accepted == len(better):
-            decrease = 1.0 - cost_new / cost
-            p, r, jac, cost, lam = trial, r_new, jacobian(trial, *data), cost_new, lam / 3.0
-        elif not accepted:
-            lam, rejected = lam * 10.0, rejected + 1
-            continue
-        else:  # a rejected row keeps its point, and its decrease reads 1
+        if np.count_nonzero(halt):  # those rows stop unevaluated; the rest step next pass
+            reason, linearize = (lambda j: "converged: step below tolerance" if finite[j] else
+                                 "optimizer_stalled: no finite step lowers the cost"), True
+        else:
+            r_new, jac_new, full_new = fun(trial, *data)
+            rounds += 1
+            cost_new = _row_dot(r_new)
+            better = cost_new < cost
+            accepted = np.count_nonzero(better)
+            linearize, every = accepted > 0, accepted == len(better)
+            if not linearize:
+                lam, rejected = lam * 10.0, rejected + 1
+                continue
+            # A rejected row keeps its point, and its decrease reads 1.
             decrease = 1.0 - np.divide(cost_new, cost, out=np.zeros_like(cost), where=better)
-            p = np.where(better[:, None], trial, p)
-            r = np.where(better[:, None], r_new, r)
-            jac = jac.copy()
-            jac[better] = jacobian(trial[better], *(a[better] for a in data))
-            cost = np.where(better, cost_new, cost)
+            p, r, jac, full, cost = map(pick, (trial, r_new, jac_new, full_new, cost_new),
+                                        (p, r, jac, full, cost))
             lam, rejected = np.where(better, lam / 3.0, lam * 10.0), rejected + ~better
-        converged = decrease <= OBJECTIVE_TOL
-        halt = converged
-        if rounds >= MAX_ITERATIONS:  # before that, no row can have taken that many steps
-            halt = halt | (rounds - rejected >= MAX_ITERATIONS)
+            converged = decrease <= OBJECTIVE_TOL
+            escaped = guard[0](p, *data) if guard else np.zeros_like(converged)
+            halt = converged | escaped
+            if rounds >= MAX_ITERATIONS:  # before that, no row can have taken that many steps
+                halt = halt | (rounds - rejected >= MAX_ITERATIONS)
+            reason = lambda j: (guard[1] if escaped[j] else _STALLED_LIMIT if not converged[j]
+                                else "converged: relative cost decrease below tolerance")
         if np.count_nonzero(halt):
-            keep = retire(halt, converged, _CONVERGED_COST, _STALLED_LIMIT)
+            keep = retire(halt, reason)
             if not np.count_nonzero(keep):
                 break
-            rows, p, r, jac, cost, rejected, lam, diag, *data = (
-                a[keep] for a in (rows, p, r, jac, cost, rejected, lam, diag, *data))
-    return out_p, out_r, out_jac, out_nfev, reasons
+            rows, p, r, jac, full, cost, rejected, lam, diag, *data = (
+                a[keep] for a in (rows, p, r, jac, full, cost, rejected, lam, diag, *data))
+    return out_full, out_r, out_nfev, reasons
 
 
 def fit_kernel_sigma(kernel):
@@ -400,84 +395,88 @@ def fit_kernel_sigma(kernel):
     def gaussian(p):  # the fringe model at V = 0 and zero background
         return np.concatenate((p, np.tile([1.0, 0.0, 0.0, 0.0], (len(p), 1))), axis=1)
 
-    p, _, _, _, (message,) = _least_squares(
-        lambda p: (_evaluate_vector(gaussian(p), x) - y) / w,
-        lambda p: _model_jacobian(gaussian(p), x)[..., :3] / w[:, None],
+    p, _, _, (message,) = _least_squares(
+        lambda p: ((_evaluate_vector(gaussian(p), x) - y) / w,
+                   _model_jacobian(gaussian(p), x)[..., :3] / w[:, None], p),
         [[1.0, mu0, s0]], -np.inf, np.inf)
     if not message.startswith("converged"):
         raise RuntimeError(f"kernel width fit failed: {message}")
     return abs(float(p[0, 2]))
 
 
-def _fit_rows(x, y, sig, scale, inits):
-    """Bounded least squares of the fringe model, one fit per row.
+def _project(q, x, t, weight):
+    """The fringe fit's variable projection at q (rows, 4) = (x0, w, k0, phi).
 
-    Each row minimises |(scale * model(x) - y) / sig|^2.
-    ``y``, ``sig`` and ``scale`` are (rows, len(x)); ``inits`` holds each
-    row's start ScanFitModel.  Returns one FitResult per row, with reduced
-    chi^2 and curvature errors; an optimizer stall or an out-of-bounds
-    solution yields a non-converged result instead of raising.
+    Per row, (A, A V, B) fit t (rows, n) on the basis weight * [env,
+    env cos(k0 u + phi), 1]; a row that breaks |A V| <= A is solved again
+    on the bound V = 1, basis weight * [env (1 + s cos), 1], s the sign of
+    its A V.  Returns the residual, Kaufman's Jacobian (the model's (x0, w,
+    k0, phi) columns less their part in the basis span, by the same Gram
+    inverse) and the equivalent seven-parameter point (phi moved by pi
+    where A V < 0).
     """
-    def residual(p, y, sig, scale, weight):
-        r = _evaluate_vector(p, x)
-        r *= scale
-        r -= y
-        r /= sig
-        return r
+    x0, w, k0, phi = q.T[..., None]
+    u = x - x0
+    env, cos = np.exp(-0.5 * (u / w) ** 2), np.cos(k0 * u + phi)
+    cols = [weight * env, weight * env * cos, weight]
+    coef, r, inverse = _linear_solve(t, cols)
+    bound = ~(np.abs(coef[:, 1]) <= coef[:, 0])
+    sign = np.where(coef[:, 1] < 0, -1.0, 1.0)
+    basis = np.stack(cols, axis=-1)
+    if np.count_nonzero(bound):  # A V = s A, on the basis [on, 0] and the inverse of its Gram
+        s = sign[bound, None]
+        on = [cols[0][bound] + s * cols[1][bound], weight[bound]]
+        c, r[bound], inverse[bound, :2, :2] = _linear_solve(t[bound], on)
+        coef[bound] = np.stack([c[:, 0], s[:, 0] * c[:, 0], c[:, 1]], axis=-1)
+        basis[bound] = np.stack([*on, np.zeros_like(on[1])], axis=-1)
+        inverse[bound, 2], inverse[bound, :, 2] = 0.0, 0.0
+    amp, fringe, bg = coef.T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = np.stack([amp, *q.T, np.where(bound, sign, fringe / amp), bg], axis=-1)  # V signed
+    jac = _model_jacobian(p, x, (env, cos, np.sin(k0 * u + phi)))[..., 1:5] * weight[..., None]
+    p[:, 4] += math.pi * (sign < 0)  # the reported point: V >= 0
+    p[:, 5] *= sign
+    return r, jac - basis @ (inverse @ (basis.transpose(0, 2, 1) @ jac)), p
 
-    def jacobian(p, y, sig, scale, weight):
-        jac = _model_jacobian(p, x)
-        jac *= weight
-        return jac
 
-    start = np.array([init.to_vector() for init in inits])
-    data = (y, sig, scale, (scale / sig)[..., None])
-    p, r, jac, nfev, messages = _least_squares(residual, jacobian, start, _PARAM_LO, _PARAM_HI,
-                                               data)
+def _fit_rows(x, y, sig, scale, starts):
+    """Per row, the fit minimising |(scale * model(x) - y) / sig|^2 from its start
+    (x0, w, k0, phi) in ``starts`` (rows, 4); ``y``, ``sig`` and ``scale`` are
+    (rows, len(x)).  A stall, an envelope wider than ``_MAX_WIDTH_SPANS``
+    scan spans or an invalid solution is a non-converged FitResult."""
+    weight = scale / sig
+    p, r, nfev, messages = _least_squares(
+        lambda q, t, weight: _project(q, x, t, weight), starts, -np.inf, np.inf, (y / sig, weight),
+        (lambda q, t, weight: np.abs(q[:, 1]) > _MAX_WIDTH_SPANS * abs(x[-1] - x[0]), _RUNAWAY))
     results = []
-    for p_row, r_row, errors, n, message in zip(p, r, _curvature_errors(jac), nfev, messages):
+    for p_row, r_row, errors, n, message in zip(
+            p, r, _curvature_errors(_model_jacobian(p, x) * weight[..., None]), nfev, messages):
         converged = message.startswith("converged")
         try:
             model = ScanFitModel.from_vector(p_row)
         except ValueError as exc:
             model, converged, message = None, False, f"invalid_solution: {exc} ({message})"
-        results.append(FitResult(
-            model=model,
-            errors=dict(zip(_PARAM_NAMES, errors)),
-            reduced_chi2=float(r_row @ r_row / max(x.size - p_row.size, 1)),
-            converged=converged,
-            n_evaluations=int(n),
-            message=message,
-        ))
+        results.append(FitResult(model, dict(zip(_PARAM_NAMES, errors)),
+                                 float(r_row @ r_row / max(x.size - p_row.size, 1)), converged,
+                                 int(n), message))
     return results
 
 
 def fit_profile(positions_mm, values):
-    """Unit-weight least-squares fit of the fringe model to a sampled profile.
-
-    Starts from ``initial_guess``, so the result is a pure function of the
-    data.  Returns a non-converged FitResult rather than raising when the
-    optimizer stalls.
-    """
+    """Unit-weight least-squares fit of the fringe model to a sampled profile, from
+    ``initial_guess``'s start, so a pure function of the data; a stall is a
+    non-converged FitResult."""
     x = np.asarray(positions_mm, dtype=float)
     y = np.asarray(values, dtype=float)
     ones = np.ones((1, y.size))
-    return _fit_rows(x, y[None], ones, ones, [initial_guess(x, y)])[0]
+    return _fit_rows(x, y[None], ones, ones, _one_start(x, y)[None])[0]
 
 
 def _columns(p, x):
     """The seven parameters of p (7,) or (rows, 7), each shaped to broadcast
-    against x, and the shape of the model over them: p's leading axes, then x's.
-
-    One vector, a stack of one included, gives numpy scalars: numpy takes
-    its fast scalar path for them, where (1, 1) columns would broadcast.
-    The values are the same either way.
-    """
+    against x, and the shape of the model over them: p's leading axes, then x's."""
     p = np.asarray(p, dtype=float)
-    grid = p.shape[:-1] + np.shape(x)
-    if p.size == 7:
-        return p.reshape(7), grid
-    return p.T.reshape(p.shape[::-1] + (1,) * np.ndim(x)), grid
+    return p.T.reshape(p.shape[::-1] + (1,) * np.ndim(x)), p.shape[:-1] + np.shape(x)
 
 
 def _evaluate_vector(p, x):
@@ -488,17 +487,15 @@ def _evaluate_vector(p, x):
     return out.reshape(grid)
 
 
-def _model_jacobian(p, x):
-    """Closed-form d(model)/d(p) of ``_evaluate_vector``, shape ([rows,] len(x), 7)."""
+def _model_jacobian(p, x, trig=None):
+    """Closed-form d(model)/d(p) of ``_evaluate_vector``, shape ([rows,] len(x), 7);
+    ``trig`` holds the envelope, cos and sin at p where they are at hand."""
     (amp, x0, w, k0, phi, vis, bg), grid = _columns(p, x)
     u = x - x0
-    env = np.exp(-0.5 * (u / w) ** 2)
     phase = k0 * u + phi
-    cos, sin = np.cos(phase), np.sin(phase)
+    env, cos, sin = trig or (np.exp(-0.5 * (u / w) ** 2), np.cos(phase), np.sin(phase))
     shape = env * (1.0 + vis * cos)
     d_phase = -amp * vis * env * sin
-    # w * w, not w**2: on a numpy scalar ** 2 is pow(), which misrounds at
-    # times, and a stack's (rows, 1) column squares exactly.
     d_shape = amp * shape / (w * w)
     jac = np.empty(grid + (7,))
     jac[..., 0] = shape
@@ -535,11 +532,10 @@ def _early_exit(message):
 def fit_scans(scans):
     """Fit the fringe model to scans on one position grid; one FitResult per scan, in order.
 
-    Each scan is fit as ``fit_scan`` describes, and its result is that of
-    ``fit_scan`` on it alone, bit for bit: the start points are one
-    ``_start_points`` stack, early exits are per scan, and the fits then
-    run as one stacked ``_least_squares``.  Scans on different position
-    grids, or with fewer than 10 points, raise ValueError.
+    Each result is bit for bit that of ``fit_scan`` on the scan alone: the
+    start points are one stack, early exits are per scan, and the fits run
+    as one stacked ``_least_squares``.  Scans on different position grids,
+    or with fewer than ``MIN_SCAN_POINTS`` points, raise ValueError.
     """
     scans = list(scans)
     if not scans:
@@ -547,25 +543,25 @@ def fit_scans(scans):
     x = scans[0].positions_mm
     if not all(np.array_equal(data.positions_mm, x) for data in scans[1:]):
         raise ValueError("scans must share one position grid")
-    if x.size < 10:
-        raise ValueError("need at least 10 scan points")
+    if x.size < MIN_SCAN_POINTS:
+        raise ValueError(f"need at least {MIN_SCAN_POINTS} scan points")
     results = [_early_exit("degenerate data: all counts zero") if np.all(data.counts == 0)
                else None for data in scans]
     live = [i for i, result in enumerate(results) if result is None]
-    rows, inits = [], []
+    rows, starts = [], []
     if live:
         for i, start in zip(live, _start_points(x, np.array([scans[i].rates_cps for i in live]))):
             if isinstance(start, str):
                 results[i] = _early_exit(f"initialization failed: {start}")
-            elif (x[-1] - x[0]) * start.fringe_wavenumber < 2.0 * 2.0 * math.pi:
+            elif (x[-1] - x[0]) * start[2] < 2.0 * 2.0 * math.pi:
                 results[i] = _early_exit("degenerate data: scan spans fewer than two fringe periods")
             else:
                 rows.append(i)
-                inits.append(start)
+                starts.append(start)
     if rows:
         counts = np.array([scans[i].counts for i in rows], dtype=float)
         durations = np.array([scans[i].durations_s for i in rows])
-        fits = _fit_rows(x, counts, np.sqrt(np.maximum(counts, 1.0)), durations, inits)
+        fits = _fit_rows(x, counts, np.sqrt(np.maximum(counts, 1.0)), durations, starts)
         for i, fit in zip(rows, fits):
             results[i] = fit
     return results
@@ -576,10 +572,11 @@ def fit_scan(data):
 
     The fit runs in counts space, so heterogeneous dwell times weigh in
     correctly: residuals are (counts - duration * rate_model) / sqrt(max(counts, 1)).
-    Fewer than 10 points raise ValueError.  All-zero counts, a failed
-    start point, a scan spanning fewer than two fringe periods of the
-    estimated wavenumber, or a stalled optimizer yield an explicit
-    non-converged result.  This is ``fit_scans`` of a stack of one.
+    Fewer than ``MIN_SCAN_POINTS`` points raise ValueError.  All-zero
+    counts, a failed start point, a scan spanning fewer than two fringe
+    periods of the estimated wavenumber, a runaway envelope or a stalled
+    optimizer yield an explicit non-converged result.  This is
+    ``fit_scans`` of a stack of one.
     """
     return fit_scans([data])[0]
 
@@ -621,11 +618,9 @@ def fit_alpha(points, g_by_label, k, k0):
     sig = np.array([p.sigma_v if p.sigma_v > 0 else 1.0 for p in pts])
     c = d**2 / (2.0 * (k / k0) ** 2)
 
-    def residual(a):
-        return (g * np.exp(-a * c) - v) / sig
-
-    def jacobian(a):
-        return (-c * (g * np.exp(-a * c)) / sig)[..., None]
+    def fun(a):
+        model = g * np.exp(-a * c)
+        return (model - v) / sig, (-c * model / sig)[..., None], a
 
     # Moment start: average log-attenuation over informative points.
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -633,9 +628,9 @@ def fit_alpha(points, g_by_label, k, k0):
         logr = -np.log(ratio)
     mask = np.isfinite(logr) & (c > 0)
     a0 = float(np.clip(np.nansum(logr[mask]) / max(np.sum(c[mask]), 1e-12), 0.0, 1e3))
-    a, r, jac, _, (message,) = _least_squares(residual, jacobian, [[a0]], 0.0, np.inf)
+    a, r, _, (message,) = _least_squares(fun, [[a0]], 0.0, np.inf)
     red_chi2 = float(r[0] @ r[0] / max(len(pts) - 1, 1))
-    return AlphaFitResult(float(a[0, 0]), _curvature_errors(jac)[0][0], red_chi2,
+    return AlphaFitResult(float(a[0, 0]), _curvature_errors(fun(a)[1])[0][0], red_chi2,
                           message.startswith("converged"), message)
 
 

@@ -37,7 +37,7 @@ _SCAN_SEED_TAG = 0x5CA7
 
 #: Scan synthesis routes; see ``expected_scan_rates``.
 SCAN_MODES = ("analytic", "kernel")
-#: Most samples the fine grid of one scan's synthesis may hold (8 MB per array).
+#: Most samples a sampled array may hold (8 MB): a scan's synthesis grid or an analytic curve.
 MAX_GRID_POINTS = 2**20
 #: Most positions one scan may have: a campaign stacks several scans in one fit.
 MAX_SCAN_POINTS = 2**16

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ from turbghost.config import (
     load_config_dict,
     read_config_json,
 )
-from turbghost.fitting import fit_scan, fit_scans, slit_correction, slit_factor
+from turbghost.fitting import (MIN_SCAN_POINTS, fit_scan, fit_scans, slit_correction,
+                               slit_factor)
 from turbghost.model import fringe_wavenumber_from_cycles, kernel_sigma
 from turbghost.scan import read_scan_csv
 
@@ -199,6 +201,16 @@ class TestRunCampaign:
         monkeypatch.setattr("turbghost.campaign._run_points", None)
         with pytest.raises(ConfigValueError, match=r"^pattern\.form"):
             run_campaign(load_config_dict(raw))
+
+    def test_short_scans_refused_before_any_point(self, monkeypatch):
+        # fitting.MIN_SCAN_POINTS is the fit's floor; a campaign below it
+        # could only record one fit error per point, so it refuses the config.
+        cfg = small_config(n_points=2)
+        cfg = replace(cfg, engine=replace(cfg.engine, scan_points=MIN_SCAN_POINTS - 1))
+        assert simulate_point(cfg, 0).positions_mm.size == MIN_SCAN_POINTS - 1
+        monkeypatch.setattr("turbghost.campaign._run_points", None)
+        with pytest.raises(ConfigValueError, match=r"^engine\.scan_points: .* at least 10 points"):
+            run_campaign(cfg)
 
     def test_programming_error_propagates(self, monkeypatch):
         def broken_fit(data):

@@ -510,6 +510,19 @@ class TestCLI:
         assert "configuration error: --curve N" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("n", [str(2**20 + 1), "1e12"])
+    def test_analytic_curve_refuses_more_than_the_grid_ceiling(self, capsys, monkeypatch, n):
+        # Refused before the curve is allocated: np.linspace is never called.
+        def refuse(*args, **kwargs):
+            raise AssertionError("the curve was allocated")
+
+        monkeypatch.setattr(np, "linspace", refuse)
+        rc = main(["analytic", "--curve", "0", "100", n])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert f"configuration error: --curve N must be a whole number in [1, {2**20}]" in captured.err
+        assert captured.out == ""
+
     def test_analytic_curve_refuses_effective_distance(self, capsys):
         rc = main(["analytic", "--curve", "0", "250", "26", "--effective-distance-mm", "100"])
         assert rc == 2
@@ -663,6 +676,18 @@ class TestCLI:
         assert rc == 2
         assert "configuration error: detector.slit_width_mm: slit too wide" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    def test_campaign_short_scans_exit_2_and_write_nothing(self, tmp_path, capsys):
+        # Five points are a scan simulate writes but no fit can take: the
+        # campaign refuses them before any point runs.
+        rc = main(["campaign", "--config", str(minimal_config(tmp_path)),
+                   "--set", "engine.scan_points=5", "--output-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert "configuration error: engine.scan_points" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+        assert main(["simulate", "--config", str(minimal_config(tmp_path)),
+                     "--set", "engine.scan_points=5", "--output", str(tmp_path / "s.csv")]) == 0
+        assert read_scan_csv(tmp_path / "s.csv").positions_mm.size == 5
 
     def test_campaign_squarewave_exits_2_and_writes_nothing(self, tmp_path, capsys):
         rc = main(["campaign", "--config", str(minimal_config(tmp_path)),
