@@ -7,7 +7,7 @@ generation, and least-squares recovery of fringe visibility and
 turbulence strength.
 """
 
-__version__ = "0.4.0"
+__version__ = "0.4.1"
 
 from .model import (  # noqa: F401
     AnalyticKernel,

@@ -3,13 +3,13 @@
 A campaign runs each turbulence sweep point through simulate -> fit,
 collects visibility points next to the model curve, and emits a
 replayable report: every number is a pure function of the configuration
-hash and the master seed.  Points run in sweep order, in chunks of
-``_FIT_STACK_SAMPLES`` scan samples: a chunk's scans share one position
-grid, so ``fitting.fit_scans`` fits them in one stacked solve, and each
-point's numbers are those its scan gets fit alone.  Every
-predicted visibility here (campaign points and curve, figure curves, the
-curve crossing) is ``model.model_visibility``, so each carries the
-object's intrinsic visibility v0 and the system ceiling g.
+hash and the master seed.  Every sweep point is simulated, then one
+``fitting.fit_scans`` call fits all their scans (they share one position
+grid; the fit sizes its own stacks), and each point's numbers are those
+its scan gets fit alone.  Every predicted visibility here (campaign
+points and curve, figure curves, the curve crossing) is
+``model.model_visibility``, so each carries the object's intrinsic
+visibility v0 and the system ceiling g.
 """
 
 from __future__ import annotations
@@ -58,12 +58,6 @@ __all__ = [
 ]
 
 _POINT_SEED_TAG = 0x9B1D
-# Scan samples (stacked scans x scan points) fitted in one stacked solve.
-# Peak memory grows with the stack: over the bench sweep's two 150-point
-# campaigns, 16 scans of 160 points add 0.7 MB to the serial fit's peak,
-# 32 add 1.8 MB and a whole campaign 10 MB, while 16 already take most of
-# the speed-up.
-_FIT_STACK_SAMPLES = 16 * 160
 # The figures reproduce_figure writes; only fig3's synthetic scans read a master seed.
 FIGURES = ("fig3", "fig4", "fig5")
 SEEDED_FIGURE = "fig3"
@@ -194,20 +188,20 @@ def _fitted_point(base, result, slit):
     )
 
 
-def _run_points(config: ExperimentConfig, indices):
-    """Simulate sweep points ``indices`` and fit their scans as one stack.
+def _run_points(config: ExperimentConfig):
+    """Simulate every sweep point, then fit their scans in one ``fit_scans`` call.
 
     Each point gets the CampaignPoint it would get alone.  A point whose
     scan or correction fails records the error, as does a failed fit."""
-    bases = {i: _point_fields(config, i) for i in indices}
+    bases = [_point_fields(config, i) for i in range(len(config.sweep))]
     points, scans = {}, {}
 
     def fail(i, exc):
         points[i] = CampaignPoint(**bases[i], error=f"{type(exc).__name__}: {exc}")
 
-    for i in indices:
+    for i, base in enumerate(bases):
         try:
-            scans[i] = _scan(config, config.sweep[i], bases[i]["seed"])
+            scans[i] = _scan(config, config.sweep[i], base["seed"])
         except _POINT_ERRORS as exc:
             fail(i, exc)
     for i, result in zip(scans, fit_scans(scans.values())):
@@ -215,7 +209,7 @@ def _run_points(config: ExperimentConfig, indices):
             points[i] = _fitted_point(bases[i], result, config.detector.slit_width_mm)
         except _POINT_ERRORS as exc:
             fail(i, exc)
-    return [points[i] for i in indices]
+    return [points[i] for i in range(len(bases))]
 
 
 def run_campaign(config: ExperimentConfig):
@@ -224,8 +218,8 @@ def run_campaign(config: ExperimentConfig):
     wide for the nominal fringe, a square-wave pattern (whose fit reads
     harmonics the sinusoid law does not model) or scans shorter than
     ``fitting.MIN_SCAN_POINTS`` are a ConfigValueError before any point
-    runs.  Points run in sweep order, ``_FIT_STACK_SAMPLES`` scan samples
-    fitted together; every point's numbers are those it gets alone."""
+    runs.  Points are reported in sweep order, every point's numbers those
+    it gets alone."""
     start = time.perf_counter()
     if config.pattern.form == "squarewave":
         raise ConfigValueError("pattern.form: a squarewave's fit does not measure the sinusoid law")
@@ -237,9 +231,7 @@ def run_campaign(config: ExperimentConfig):
     except ValueError as exc:
         raise ConfigValueError(f"detector.slit_width_mm: {exc}") from exc
     specs = list(config.sweep)
-    rows = max(1, _FIT_STACK_SAMPLES // config.engine.scan_points)
-    points = [point for first in range(0, len(specs), rows)
-              for point in _run_points(config, range(first, min(first + rows, len(specs))))]
+    points = _run_points(config)
     if specs:
         dmax = max(abs(p.effective_distance_mm) for p in points)
         curve_d = np.linspace(0.0, max(dmax, 1.0), 101)

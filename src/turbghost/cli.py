@@ -55,34 +55,57 @@ class NumericalFailure(RuntimeError):
     pass
 
 
-def _apply_overrides(raw, overrides):
-    for item in overrides or []:
+# Flags that set a config key: flag attribute -> dotted key.
+_CONFIG_FLAGS = {"master_seed": "engine.master_seed", "output_dir": "output_dir"}
+
+
+def _overrides(args):
+    """The config keys the command line sets, as (dotted key, value): flags, then each --set."""
+    items = [(key, getattr(args, name)) for name, key in _CONFIG_FLAGS.items()
+             if getattr(args, name, None) is not None]
+    for item in getattr(args, "overrides", None) or []:
         if "=" not in item:
             raise ConfigError(f"--set expects dotted.key=value, got {item!r}")
         dotted, text = item.split("=", 1)
-        node = raw
+        items.append((dotted, json.loads(text)))
+    return items
+
+
+def _apply_overrides(raw, overrides):
+    """Set each (dotted key, value) of ``overrides`` in ``raw``; null removes a key.
+
+    An integer segment indexes a list, and must lie in it.  A key set
+    twice, or inside another key that is set, is a ConfigError naming it."""
+    for n, (dotted, value) in enumerate(overrides):
         keys = dotted.split(".")
-        for key in keys[:-1]:
-            if key not in node or not isinstance(node[key], dict):
-                node[key] = {}
-            node = node[key]
-        value = json.loads(text)
-        if value is None:
+        for other, _ in overrides[:n]:
+            shared = min(len(keys), other.count(".") + 1)
+            if keys[:shared] == other.split(".")[:shared]:
+                raise ConfigError(f"{max(dotted, other, key=len)}: set more than once")
+        node = raw
+        for depth, key in enumerate(keys):
+            if isinstance(node, list):
+                if not (key.isdigit() and int(key) < len(node)):
+                    raise ConfigError(f"{dotted}: {key!r} is not an index of "
+                                      f"{'.'.join(keys[:depth])}, a list of {len(node)}")
+                key = int(key)
+            if depth == len(keys) - 1:
+                break
+            child = node[key] if isinstance(node, list) else node.get(key)
+            if not isinstance(child, (dict, list)):
+                node[key] = child = {}
+            node = child
+        if value is None and isinstance(node, dict):
             # null removes the key, so its default or an alternative key applies.
-            node.pop(keys[-1], None)
+            node.pop(key, None)
         else:
-            node[keys[-1]] = value
+            node[key] = value
     return raw
 
 
 def _load_config_with_overrides(args):
     raw = read_config_json(args.config or bundled_config_path("paper_unshifted.json"))
-    if getattr(args, "master_seed", None) is not None:
-        raw.setdefault("engine", {})["master_seed"] = args.master_seed
-    if getattr(args, "output_dir", None):
-        raw["output_dir"] = args.output_dir
-    _apply_overrides(raw, getattr(args, "overrides", None))
-    return load_config_dict(raw)
+    return load_config_dict(_apply_overrides(raw, _overrides(args)))
 
 
 def _write_or_print(text, output):
@@ -131,6 +154,9 @@ def _cmd_kernel(args):
             setattr(args, name, default)
         elif args.method != reader:
             raise ConfigError(f"--{name.replace('_', '-')} is read only by --method {reader}")
+    if args.method == "mc" and not 2 <= args.n_realizations <= MAX_GRID_POINTS:  # before any draw
+        raise ConfigError(f"--n-realizations must be in [2, {MAX_GRID_POINTS}], "
+                          f"got {args.n_realizations}")
     if args.method == "analytic":
         k = wavenumber(wavelength_nm=args.wavelength_nm)
         kernel = kernel_from_turbulence(args.alpha_per_mm2, args.effective_distance_mm, k)

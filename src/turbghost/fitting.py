@@ -9,8 +9,9 @@ linear part with ``_linear_solve``, as the start points' grid does.
 V <= 1 is the linear bound |A V| <= A, kept by an active set; the
 Jacobian is Kaufman's (1975).  Standard errors come from (J^T J)^-1 of
 the seven-parameter Jacobian at the equivalent point.  Every fit runs one
-numpy solver, ``_least_squares``, over a stack of fits, and a campaign's
-scans are one stack (``fit_scans``), each row the fit it gets alone.
+numpy solver, ``_least_squares``, over a stack of fits: ``fit_scans``
+stacks scans on one grid, at most ``_FIT_STACK_SAMPLES`` scan samples a
+stack (a memory bound of its own), each row the fit it gets alone.
 
 Visibility-vs-distance campaigns are reduced to the turbulence strength
 ``alpha`` by weighted least squares of the attenuation law
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -49,15 +50,12 @@ MIN_SCAN_POINTS = 10
 # Sound fits of 36,000 bench sweep scans span at most 1.41 scans, runaways 9 or more.
 _MAX_WIDTH_SPANS = 4.0
 
-_PARAM_NAMES = (
-    "amplitude_cps",
-    "center_mm",
-    "envelope_width_mm",
-    "fringe_wavenumber",
-    "fringe_phase_rad",
-    "visibility",
-    "background_cps",
-)
+# Scan samples (stacked scans x scan points) one stacked solve holds.  Peak
+# memory grows with the stack, about 120 KB per bundled-config scan: over the
+# bench sweep's two 150-point campaigns, 16 scans of 160 points add 0.7 MB to
+# the serial fit's peak, 32 add 1.8 MB and a whole campaign 10 MB, while 16
+# already take most of the speed-up.
+_FIT_STACK_SAMPLES = 16 * 160
 
 
 @dataclass(frozen=True)
@@ -88,11 +86,11 @@ class ScanFitModel:
         return out if out.ndim else float(out)
 
     def to_vector(self):
-        return np.array([getattr(self, name) for name in _PARAM_NAMES])
+        return np.array([getattr(self, f.name) for f in fields(self)])
 
     @classmethod
     def from_vector(cls, vec):
-        return cls(**dict(zip(_PARAM_NAMES, (float(v) for v in vec))))
+        return cls(*(float(v) for v in vec))
 
 
 @dataclass(frozen=True)
@@ -305,11 +303,10 @@ def _least_squares(fun, p0, lo, hi, data=(), guard=None):
     r, jac, full = fun(p, *data)
     n_rows, k = p.shape
     # Every row is evaluated once per round until it stops, so a row's
-    # evaluation count is 1 + the rounds run when it stops.  With
-    # MAX_ITERATIONS <= 0 no row runs: each keeps its start and stalls.
+    # evaluation count is 1 + the rounds run when it stops.
     out_full, out_r = full.copy(), r.copy()
     out_nfev, reasons, rounds = np.ones(n_rows, dtype=int), [_STALLED_LIMIT] * n_rows, 0
-    rows = np.arange(n_rows if MAX_ITERATIONS > 0 else 0)
+    rows = np.arange(n_rows)
     # A row's accepted steps are the rounds it ran less its rejections.
     rejected, lam, cost, diag = np.zeros(n_rows, dtype=int), np.full(n_rows, 1e-3), _row_dot(r), 0.0
 
@@ -448,7 +445,7 @@ def _fit_rows(x, y, sig, scale, starts):
     p, r, nfev, messages = _least_squares(
         lambda q, t, weight: _project(q, x, t, weight), starts, -np.inf, np.inf, (y / sig, weight),
         (lambda q, t, weight: np.abs(q[:, 1]) > _MAX_WIDTH_SPANS * abs(x[-1] - x[0]), _RUNAWAY))
-    results = []
+    results, names = [], [f.name for f in fields(ScanFitModel)]
     for p_row, r_row, errors, n, message in zip(
             p, r, _curvature_errors(_model_jacobian(p, x) * weight[..., None]), nfev, messages):
         converged = message.startswith("converged")
@@ -456,7 +453,7 @@ def _fit_rows(x, y, sig, scale, starts):
             model = ScanFitModel.from_vector(p_row)
         except ValueError as exc:
             model, converged, message = None, False, f"invalid_solution: {exc} ({message})"
-        results.append(FitResult(model, dict(zip(_PARAM_NAMES, errors)),
+        results.append(FitResult(model, dict(zip(names, errors)),
                                  float(r_row @ r_row / max(x.size - p_row.size, 1)), converged,
                                  int(n), message))
     return results
@@ -533,9 +530,10 @@ def fit_scans(scans):
     """Fit the fringe model to scans on one position grid; one FitResult per scan, in order.
 
     Each result is bit for bit that of ``fit_scan`` on the scan alone: the
-    start points are one stack, early exits are per scan, and the fits run
-    as one stacked ``_least_squares``.  Scans on different position grids,
-    or with fewer than ``MIN_SCAN_POINTS`` points, raise ValueError.
+    scans run in stacks of ``_FIT_STACK_SAMPLES`` scan samples, each
+    stack's start points and fits are one stacked solve, and early exits
+    are per scan.  Scans on different position grids, or with fewer than
+    ``MIN_SCAN_POINTS`` points, raise ValueError.
     """
     scans = list(scans)
     if not scans:
@@ -545,6 +543,13 @@ def fit_scans(scans):
         raise ValueError("scans must share one position grid")
     if x.size < MIN_SCAN_POINTS:
         raise ValueError(f"need at least {MIN_SCAN_POINTS} scan points")
+    size = max(1, _FIT_STACK_SAMPLES // x.size)
+    return [fit for first in range(0, len(scans), size)
+            for fit in _fit_stack(x, scans[first:first + size])]
+
+
+def _fit_stack(x, scans):
+    """``fit_scans`` of one stack of scans on the grid ``x``."""
     results = [_early_exit("degenerate data: all counts zero") if np.all(data.counts == 0)
                else None for data in scans]
     live = [i for i, result in enumerate(results) if result is None]

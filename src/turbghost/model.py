@@ -363,5 +363,5 @@ class VisibilityPoint:
     def __post_init__(self):
         if not 0.0 <= self.visibility <= 1.0:
             raise ValueError("visibility must be in [0, 1]")
-        if self.sigma_v < 0:
-            raise ValueError("sigma_v must be >= 0")
+        if not 0 <= self.sigma_v < math.inf:
+            raise ValueError(f"sigma_v must be finite and >= 0, got {self.sigma_v}")

@@ -126,6 +126,62 @@ def test_removed_attribute_is_gone(name):
     assert not hasattr(owner, name.rsplit(".", 1)[1])
 
 
+# Refusals of bad inputs: each names the input it refuses.
+K = OpticsConfig().k
+BAD_INPUTS = {
+    "fit_alpha(one |d|)": (r"distinct \|distance\|", lambda: fitting.fit_alpha(
+        [model.VisibilityPoint(d, 0.5, 0.01, "u") for d in (100.0, -100.0)], {"u": 1.0}, K, K0)),
+    "quadrature_g2(d = 0)": ("zero effective distance", lambda: engine.quadrature_g2(
+        engine.KlyshkoPath(OpticsConfig(), TurbulenceSpec.crystal_side(2.0, 0.0)), 2.0)),
+    "monte_carlo_g2(1 screen)": ("n_screens", lambda: engine.monte_carlo_g2(_path(), 2.0, 1, 1)),
+    "synthesize_image(positions)": ("positions", lambda: engine.synthesize_image(
+        AnalyticKernel(0.01), ObjectPattern(), [0.0, 0.1, 0.3])),
+    "expected_scan_rates(mode)": ("mode", lambda: scan.expected_scan_rates(
+        _path(), 2.0, ObjectPattern(), DET, [0.0, 0.1], mode="tilt")),
+    "ScanData(lengths)": ("positions, counts and durations", lambda: scan.ScanData(
+        X, np.ones(3, dtype=int), np.ones(X.size))),
+    "initial_guess(7 points)": ("8 points", lambda: fitting.initial_guess(X[:7], PROFILE[:7])),
+    "tilt_slopes(alpha)": ("alpha_per_mm2", lambda: screens.tilt_slopes(-1.0, 2, 1)),
+    "sample_tilt_screen(alpha)": ("alpha_per_mm2", lambda: screens.sample_tilt_screen(-1.0, 1)),
+    "sample_powerlaw_screen(alpha)": ("alpha", lambda: screens.sample_powerlaw_screen(
+        -1.0, 1.5, GRID, 1)),
+    "sample_powerlaw_screen(p)": ("p must", lambda: screens.sample_powerlaw_screen(
+        1.0, 2.5, GRID, 1)),
+    "sample_powerlaw_screen(grid 2-D)": ("grid must be a 1-D", lambda: (
+        screens.sample_powerlaw_screen(1.0, 1.5, np.zeros((2, 2)), 1))),
+    "sample_powerlaw_screen(grid uneven)": ("grid must be uniform", lambda: (
+        screens.sample_powerlaw_screen(1.0, 1.5, [0.0, 0.1, 0.3], 1))),
+    "ScreenEnsemble.tilts(n_screens)": ("n_screens", lambda: screens.ScreenEnsemble.tilts(
+        1.0, 0, 1)),
+    "ScreenEnsemble.powerlaw(n_screens)": ("n_screens", lambda: screens.ScreenEnsemble.powerlaw(
+        1.0, 1.5, GRID, 0, 1)),
+    "AnalyticKernel(sigma_mm)": ("sigma_mm", lambda: AnalyticKernel(-1.0)),
+    "SampledKernel(shapes)": ("offsets, values and errors", lambda: model.SampledKernel(
+        np.arange(3.0), np.ones(2), np.zeros(3))),
+    "SampledKernel(samples)": ("3 samples", lambda: model.SampledKernel(
+        np.arange(2.0), np.ones(2), np.zeros(2))),
+    "SampledKernel(offsets)": ("offsets must be", lambda: model.SampledKernel(
+        np.array([0.0, 2.0, 1.0]), np.ones(3), np.zeros(3))),
+    "SampledKernel(values range)": ("values must lie", lambda: model.SampledKernel(
+        np.arange(3.0), np.array([0.5, 1.0, 1.5]), np.zeros(3))),
+    "SampledKernel(values peak)": ("values must be peak", lambda: model.SampledKernel(
+        np.arange(3.0), np.full(3, 0.5), np.zeros(3))),
+    "SampledKernel(standard errors)": ("standard errors", lambda: model.SampledKernel(
+        np.arange(3.0), np.ones(3), np.full(3, -1.0))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_INPUTS))
+def test_bad_input_refused_naming_it(name):
+    match, call = BAD_INPUTS[name]
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+def test_analytic_kernel_width_is_its_sigma():
+    assert fitting.fit_kernel_sigma(AnalyticKernel(0.07)) == 0.07
+
+
 TRACING = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                        "bench", "tracing.py")
 

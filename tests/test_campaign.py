@@ -131,6 +131,23 @@ class TestRunCampaign:
             assert p.corrected_visibility == min(slit_correction(v, k0, slit), 1.0)
             assert p.corrected_sigma == slit_correction(sigma, k0, slit)
 
+    def test_campaign_fits_its_sweep_in_one_call(self, monkeypatch):
+        # fitting.fit_scans sizes its own stacks, so a bundled campaign whose
+        # sweep fills more than one stack still hands it every scan at once.
+        calls = []
+
+        def counted(scans):
+            scans = list(scans)
+            calls.append(len(scans))
+            return fit_scans(scans)
+
+        raw = read_config_json(bundled_config_path("paper_unshifted.json"))
+        raw["turbulence_sweep"] *= 8
+        monkeypatch.setattr("turbghost.campaign.fit_scans", counted)
+        report = run_campaign(load_config_dict(raw))
+        assert calls == [40]
+        assert [p.index for p in report.points] == list(range(40))
+
     def test_noiseless_kernel_mode_matches_finite_envelope_law(self):
         # A Gaussian kernel compresses the fringe to k0 w^2 / (w^2 + sigma^2),
         # and the slit acts on that fringe: corrected at the fitted k0, the

@@ -164,6 +164,10 @@ class TestConfigValidation:
         ("pattern.intrinsic_visibility=2", "pattern.intrinsic_visibility"),
         ('turbulence_sweep=[{"placement": "crystal_side", "l1_mm": 482, "alpha_per_mm2": -1}]',
          "turbulence_sweep[0].alpha_per_mm2"),
+        # A list index outside the list (minimal_config has one sweep point).
+        ("turbulence_sweep.1.alpha_per_mm2=3", "turbulence_sweep.1.alpha_per_mm2"),
+        ("turbulence_sweep.-1.alpha_per_mm2=3", "turbulence_sweep.-1.alpha_per_mm2"),
+        ("turbulence_sweep.x=3", "turbulence_sweep.x"),
     ])
     def test_model_check_names_its_key(self, tmp_path, capsys, override, key):
         out = tmp_path / "scan.csv"
@@ -457,6 +461,19 @@ class TestCLI:
         sigma = float(header.split("=")[1])
         assert sigma == pytest.approx(0.07051727546300533, rel=0.03)
 
+    @pytest.mark.parametrize("n", [str(2**20 + 1), "1"])
+    def test_kernel_mc_refuses_realizations_outside_the_ceiling(self, capsys, monkeypatch, n):
+        # Refused before any screen is drawn: tilt_slopes is never called.
+        def refuse(*args, **kwargs):
+            raise AssertionError("screens were drawn")
+
+        monkeypatch.setattr("turbghost.engine.tilt_slopes", refuse)
+        rc = main(["kernel", "--method", "mc", "--n-realizations", n])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert f"configuration error: --n-realizations must be in [2, {2**20}]" in captured.err
+        assert captured.out == ""
+
     def test_kernel_quadrature_shifted(self, tmp_path):
         out = tmp_path / "kernel_quad.csv"
         rc = main([
@@ -623,6 +640,37 @@ class TestCLI:
             "--set", "engine.master_seed=99",
         ]) == 0
         assert scan_a.read_bytes() != scan_b.read_bytes()
+
+    def test_set_reaches_a_sweep_entry(self, tmp_path):
+        # An integer segment indexes a list: the override writes the scan a
+        # config with that entry changed writes.
+        sweep = [{"placement": "crystal_side", "l1_mm": 482.0, "alpha_per_mm2": a}
+                 for a in (2.0, 3.0)]
+        direct = minimal_config(tmp_path, turbulence_sweep=sweep)
+        expected = format_scan_csv(simulate_point(load_config(str(direct)), 1))
+        sweep[1]["alpha_per_mm2"] = 2.0
+        cfg = minimal_config(tmp_path, turbulence_sweep=sweep)
+        out = tmp_path / "scan.csv"
+        assert main(["simulate", "--config", str(cfg), "--sweep-index", "1", "--output", str(out),
+                     "--set", "turbulence_sweep.1.alpha_per_mm2=3"]) == 0
+        assert out.read_text() == expected
+
+    @pytest.mark.parametrize("command, flags, key", [
+        ("simulate", ["--master-seed", "5", "--set", "engine.master_seed=7"], "engine.master_seed"),
+        ("simulate", ["--set", "engine.master_seed=7", "--set", "engine.master_seed=7"],
+         "engine.master_seed"),
+        ("simulate", ["--set", 'engine={"master_seed": 3}', "--set", "engine.master_seed=4"],
+         "engine.master_seed"),
+        ("campaign", ["--output-dir", "TMP/a", "--set", 'output_dir="TMP/b"'], "output_dir"),
+    ], ids=["flag-and-set", "set-twice", "inside-a-set-key", "output-dir"])
+    def test_key_set_twice_refused(self, tmp_path, capsys, command, flags, key):
+        # Which of two settings of one key wins is not a choice the CLI makes.
+        flags = [f.replace("TMP", str(tmp_path)) for f in flags]
+        output = ["--output", str(tmp_path / "scan.csv")] if command == "simulate" else []
+        rc = main([command, "--config", str(minimal_config(tmp_path)), *output, *flags])
+        assert rc == 2
+        assert f"configuration error: {key}: set more than once" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["config.json"]
 
     def test_simulate_writes_campaign_point_scan(self, tmp_path):
         cfg = minimal_config(tmp_path, turbulence_sweep=[

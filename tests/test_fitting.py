@@ -515,6 +515,27 @@ class TestStackedFits:
         assert [fit.to_json() for fit in stacked] == [fit.to_json() for fit in singles]
         assert stacked[1].n_evaluations == 5
 
+    def test_stacks_hold_at_most_the_stack_samples(self, monkeypatch):
+        # fit_scans sizes its own stacks: 40 scans on a 160-point grid run as
+        # start-point and solver stacks of at most 16 rows, and every row is
+        # still its single fit.
+        stack = seeded_scans(40)
+        assert {data.positions_mm.size for data in stack} == {160}
+        singles = [fit_scan(data).to_json() for data in stack]
+        rows = {"_start_points": [], "_fit_rows": []}
+
+        def counted(name, inner):
+            def wrapper(x, y, *args):
+                rows[name].append(len(y))
+                return inner(x, y, *args)
+            return wrapper
+
+        for name in rows:
+            monkeypatch.setattr(fitting, name, counted(name, getattr(fitting, name)))
+        assert [fit.to_json() for fit in fit_scans(stack)] == singles
+        assert rows["_start_points"] == [16, 16, 8]
+        assert len(rows["_fit_rows"]) == 3 and max(rows["_fit_rows"]) <= 16
+
     def test_scans_on_different_grids_refused(self):
         a, b = seeded_scans(2)
         moved = ScanData(b.positions_mm + 0.001, b.counts, b.durations_s)

@@ -315,6 +315,10 @@ class TestKernels:
             VisibilityPoint(482.0, 1.5, 0.04)
         with pytest.raises(ValueError):
             VisibilityPoint(482.0, 0.5, -0.1)
+        # fit_alpha would weigh a NaN sigma as 1 and an inf sigma as 0.
+        for sigma in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="sigma_v must be finite"):
+                VisibilityPoint(432.0, 0.9, sigma)
 
 
 class TestCrossover:
